@@ -21,16 +21,17 @@ from __future__ import annotations
 
 import logging
 import math
-import multiprocessing
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.netlist import Netlist
-from ..obs.telemetry import Telemetry, current, use
+from ..obs.telemetry import current, use
 from ..crypto.keys import PlaintextGenerator
 from ..electrical.noise import NoiseModel, apply_noise_matrix, apply_noise_trace
 from ..electrical.technology import HCMOS9_LIKE, Technology
 from ..pnr.flows import PlacedDesign, run_flat_flow, run_hierarchical_flow
+from ..store import CampaignFrame, grid_fingerprint, single_row
+from ..store.grid import GridLayout, GridRun, run_grid
 from .cpa import (
     AttackKernel,
     CpaKernel,
@@ -497,8 +498,6 @@ class CampaignResult:
     def frame(self):
         """The rows as a columnar :class:`~repro.store.frame.CampaignFrame`
         (rebuilt when the row list grows; ``result`` payloads not included)."""
-        from ..store import CampaignFrame
-
         cached = getattr(self, "_frame_cache", None)
         if cached is None or cached[0] != len(self.rows):
             cached = (len(self.rows),
@@ -508,8 +507,6 @@ class CampaignResult:
 
     def assessment_frame(self):
         """The assessment rows as a columnar frame (see :meth:`frame`)."""
-        from ..store import CampaignFrame
-
         cached = getattr(self, "_assessment_frame_cache", None)
         if cached is None or cached[0] != len(self.assessments):
             cached = (len(self.assessments),
@@ -527,8 +524,6 @@ class CampaignResult:
         :class:`~repro.store.query.AmbiguousQueryError` when the key matches
         several rows (the message lists them).
         """
-        from ..store import single_row
-
         criteria = {"design": design}
         if assessment is not None:
             criteria["assessment"] = assessment
@@ -569,8 +564,6 @@ class CampaignResult:
         attacks; the old behaviour returned whichever ran first, which made
         partial-key analyses silently wrong.
         """
-        from ..store import single_row
-
         criteria = {"design": design}
         if selection is not None:
             criteria["selection"] = selection
@@ -642,6 +635,11 @@ class AttackCampaign:
     mtd_start, mtd_step, stable_runs:
         Parameters of the messages-to-disclosure sweep.
     """
+
+    #: One (noise × design) scenario's result tables, in the order
+    #: :meth:`_run_scenario` returns its row lists.
+    _grid_layout = GridLayout("campaign", {"rows": "campaign",
+                                           "assessments": "assessment"})
 
     def __init__(self, key: Optional[Sequence[int]] = None, *,
                  architecture=None,
@@ -1160,62 +1158,6 @@ class AttackCampaign:
         dt, t0 = traces._time_params()
         return matrix, dt, t0
 
-    def _run_sharded(self, scenarios: List[tuple],
-                     plaintexts: Sequence[Sequence[int]],
-                     workers: int, options: Dict[str, bool]
-                     ) -> List[List[CampaignRow]]:
-        """Fan the scenario list over a forked worker pool, order-preserving.
-
-        Each worker re-generates its own shard's traces (per-shard trace
-        generation: nothing but the scenario index crosses the process
-        boundary on the way in, so unpicklable netlists, trace sources and
-        noise factories all work), and ships back plain result rows.  Falls
-        back to the serial path when ``fork`` is unavailable — the results
-        are identical either way, only the wall-clock changes.
-        """
-        return list(self._run_sharded_iter(scenarios, plaintexts, workers,
-                                           options))
-
-    def _run_sharded_iter(self, scenarios: List[tuple],
-                          plaintexts: Sequence[Sequence[int]],
-                          workers: int, options: Dict[str, bool]
-                          ) -> Iterator[Tuple[List[CampaignRow],
-                                              List[AssessmentRow]]]:
-        """Scenario results in scenario order, yielded as they complete.
-
-        The lazy (``imap``) form of :meth:`_run_sharded`: the store spill
-        path consumes it so every finished scenario is persisted as soon as
-        its result (and those of the scenarios before it) arrive, instead
-        of only after the whole pool drains.
-        """
-        if not scenarios:
-            # Pool(processes=0) raises ValueError; an empty grid (e.g. a
-            # fully-resumed store run) is simply an empty result.
-            return
-        if "fork" not in multiprocessing.get_all_start_methods():
-            logger.info("fork unavailable on this platform; campaign runs "
-                        "%d scenario(s) serially", len(scenarios))
-            for scenario in scenarios:
-                yield self._run_scenario(scenario, plaintexts, **options)
-            return
-        telemetry = current()
-        global _SHARD_STATE
-        context = multiprocessing.get_context("fork")
-        _SHARD_STATE = (self, scenarios, plaintexts, options)
-        try:
-            with context.Pool(processes=min(workers, len(scenarios))) as pool:
-                for index, (rows, assessment_rows, shard_tree) in enumerate(
-                        pool.imap(_scenario_shard_worker,
-                                  range(len(scenarios)), chunksize=1)):
-                    # Adopted in scenario order (imap preserves it), so the
-                    # merged span tree is deterministic: same shape as the
-                    # serial run, with the shard index as attribution.
-                    if shard_tree is not None:
-                        telemetry.adopt(shard_tree, shard=index)
-                    yield rows, assessment_rows
-        finally:
-            _SHARD_STATE = None
-
     def _tvla_schedule_for(self, count: int, seed: int) -> Optional[tuple]:
         """The shared fixed-vs-random acquisition of the non-specific TVLAs."""
         fr_assessments = [a for a in self._assessments if a.kind == "tvla"]
@@ -1282,11 +1224,11 @@ class AttackCampaign:
         all selection functions, attack kernels and value-partitioned
         assessments (non-specific TVLA adds one fixed-vs-random acquisition
         per scenario).  With ``workers > 1`` the (noise × design) scenarios —
-        the units that own a trace generation — are sharded across a
-        ``fork``-based process pool; every shard generates its own traces and
-        the merged table is *identical* to the serial one (same plaintexts,
-        same per-scenario noise streams, same row order), so sharding is
-        purely a wall-clock knob.
+        the units that own a trace generation — are sharded across the
+        ``fork`` pool of :mod:`repro.store.grid`; every shard generates its
+        own traces and the merged table is *identical* to the serial one
+        (same plaintexts, same per-scenario noise streams, same row order),
+        so sharding is purely a wall-clock knob.
 
         With ``streaming=True`` each scenario consumes its traces as
         ``chunk_size`` blocks through the accumulator pipelines of
@@ -1407,23 +1349,24 @@ class AttackCampaign:
                     return service._execute_campaign(
                         self, scenarios, plaintexts, seed, options,
                         store=store)
+                keys = fingerprint = None
                 if store is not None:
-                    return self._run_with_store(store, scenarios, plaintexts,
-                                                seed, workers, options)
-                if workers > 1 and len(scenarios) > 1:
-                    shard_rows = self._run_sharded(scenarios, plaintexts,
-                                                   workers, options)
-                else:
-                    shard_rows = [self._run_scenario(scenario, plaintexts,
-                                                     **options)
-                                  for scenario in scenarios]
-
-                campaign = CampaignResult()
-                for rows, assessment_rows in shard_rows:
-                    campaign.rows.extend(rows)
-                    campaign.assessments.extend(assessment_rows)
-                telemetry.record_rss()
-                return campaign
+                    if keep_results:
+                        raise ValueError(
+                            "keep_results does not compose with store=: "
+                            "attack result objects are not columnar — "
+                            "re-run the scenario of interest in memory to "
+                            "inspect full DPAResult objects")
+                    keys = self._scenario_keys(scenarios)
+                    fingerprint = self._grid_fingerprint(keys, plaintexts,
+                                                         seed, options)
+                grid = GridRun(self._grid_layout, len(scenarios), store,
+                               keys=keys, fingerprint=fingerprint)
+                rows, assessments = run_grid(
+                    lambda index: self._run_scenario(
+                        scenarios[index], plaintexts, **options),
+                    grid, workers=workers)
+                return CampaignResult(rows=rows, assessments=assessments)
 
     # ---------------------------------------------------------------- store
     @staticmethod
@@ -1447,8 +1390,6 @@ class AttackCampaign:
         their labels stand in for them, which is as much as equality can
         promise without executing them.
         """
-        from ..store import grid_fingerprint
-
         payload = {
             "scenario_keys": list(keys),
             "plaintexts": [[int(byte) for byte in block]
@@ -1472,69 +1413,6 @@ class AttackCampaign:
             "mtd": [self.mtd_start, self.mtd_step, self.stable_runs],
         }
         return grid_fingerprint(payload)
-
-    def _run_with_store(self, store, scenarios: List[tuple],
-                        plaintexts: Sequence[Sequence[int]], seed: int,
-                        workers: int,
-                        options: Dict[str, object]) -> CampaignResult:
-        """The spill-and-resume form of :meth:`run`.
-
-        Completed scenarios are read back from their shards instead of
-        re-running; missing ones run (sharded or serial) and are persisted
-        in scenario order the moment they — and their predecessors — finish.
-        The merged result always round-trips through the columnar frames,
-        so a resumed run and a fresh run produce byte-identical tables.
-        """
-        from ..store import CampaignFrame, CampaignStore
-
-        if options["keep_results"]:
-            raise ValueError(
-                "keep_results does not compose with store=: attack result "
-                "objects are not columnar — re-run the scenario of interest "
-                "in memory to inspect full DPAResult objects")
-        keys = self._scenario_keys(scenarios)
-        fingerprint = self._grid_fingerprint(keys, plaintexts, seed, options)
-        campaign_store = CampaignStore.open(
-            store, kind="campaign", scenario_keys=keys,
-            fingerprint=fingerprint)
-        done = set(campaign_store.completed_keys())
-        pending_keys = [key for key in keys if key not in done]
-        pending_scenarios = [scenario for key, scenario
-                             in zip(keys, scenarios) if key not in done]
-        if done:
-            logger.info("campaign store resume: %d/%d scenarios already "
-                        "complete, %d to run", len(done), len(keys),
-                        len(pending_keys))
-        if workers > 1 and len(pending_scenarios) > 1:
-            results = self._run_sharded_iter(pending_scenarios, plaintexts,
-                                             workers, options)
-        else:
-            results = (self._run_scenario(scenario, plaintexts, **options)
-                       for scenario in pending_scenarios)
-        written = {}
-        for key, (rows, assessment_rows) in zip(pending_keys, results):
-            tables = {
-                "rows": CampaignFrame.from_rows(rows, kind="campaign"),
-                "assessments": CampaignFrame.from_rows(assessment_rows,
-                                                       kind="assessment"),
-            }
-            campaign_store.write_shard(key, tables)
-            written[key] = tables
-        merged = campaign_store.merge_tables(
-            {"rows": "campaign", "assessments": "assessment"}, keys=keys,
-            cache=written)
-        telemetry = current()
-        telemetry.record_rss()
-        tables = dict(merged)
-        if telemetry.enabled:
-            # Persist the (still-open) run's span tree next to the shard
-            # manifest so the metrics are queryable like any campaign table.
-            from ..obs.export import telemetry_frame
-
-            tables["telemetry"] = telemetry_frame(telemetry.snapshot())
-        campaign_store.finalize(tables)
-        return CampaignResult(rows=merged["rows"].to_rows(),
-                              assessments=merged["assessments"].to_rows())
 
 
 class _StreamingScenarioState:
@@ -1694,31 +1572,3 @@ class _StreamingScenarioState:
                                               self.noise_label,
                                               assessment, state)
                 for assessment, state in self.fr_states]
-
-
-#: Campaign state inherited by forked shard workers (set around the pool's
-#: lifetime only).  Passing the index alone keeps the inbound task payload
-#: trivially picklable; the forked child reads everything else from its
-#: copy-on-write memory image.
-_SHARD_STATE: Optional[tuple] = None
-
-
-def _scenario_shard_worker(index: int) -> tuple:
-    """Run one scenario in the forked child; returns (rows, assessments,
-    telemetry tree or None).
-
-    The child inherits the parent's ambient collector through the fork;
-    when it is enabled, the worker records into its own fresh collector and
-    ships the snapshot back for the parent to adopt — worker identity never
-    enters the tree, only the deterministic scenario index does.
-    """
-    campaign, scenarios, plaintexts, options = _SHARD_STATE
-    if not current().enabled:
-        rows, assessment_rows = campaign._run_scenario(
-            scenarios[index], plaintexts, **options)
-        return rows, assessment_rows, None
-    local = Telemetry(name="shard")
-    with use(local):
-        rows, assessment_rows = campaign._run_scenario(
-            scenarios[index], plaintexts, **options)
-    return rows, assessment_rows, local.snapshot()

@@ -8,27 +8,25 @@ criterion evaluation per point of the knob product
 security_weight``
 
 and merges the per-point results into a deterministic table.  Points are
-independent, so the sweep shards over forked workers exactly like
-:class:`repro.core.flow.AttackCampaign`: nothing but the point index crosses
-the process boundary on the way in (each worker regenerates its shard's
-netlist from the factory), and the merged table is byte-identical to a
-serial run.
+independent units of one :mod:`repro.store.grid` grid — the same runner as
+:class:`repro.core.flow.AttackCampaign` — so ``workers``, ``store`` and
+``service`` work as they do for campaigns: each forked worker regenerates
+its point's netlist from the factory, and the merged table is
+byte-identical to a serial run.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
-import multiprocessing
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, List, Optional, Sequence
 
 from ..circuits.netlist import Netlist
 from ..electrical.technology import HCMOS9_LIKE, Technology
-from ..obs.telemetry import Telemetry, current, use
+from ..obs.telemetry import current, use
+from ..store import grid_fingerprint
+from ..store.grid import GridLayout, GridRun, run_grid
 from .placement import AnnealingSchedule, PlacementError
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -101,6 +99,9 @@ class PlacementSweep:
     factory, not a netlist, is what lets forked workers regenerate their
     shard locally).
     """
+
+    #: One grid point's result table (a one-row list per point).
+    _grid_layout = GridLayout("sweep", {"rows": "sweep"})
 
     netlist_factory: Callable[[], Netlist]
     flow: str = "flat"
@@ -193,38 +194,21 @@ class PlacementSweep:
             if service is not None:
                 return service._execute_sweep(self, points, design,
                                               store=store)
-            if store is not None:
-                return self._run_with_store(store, points, design, workers)
-            if (workers <= 1 or len(points) <= 1
-                    or "fork" not in multiprocessing.get_all_start_methods()):
-                rows = [self._run_point(point) for point in points]
-            else:
-                rows = list(self._run_sharded_iter(points, workers))
-            telemetry.record_rss()
+            grid = GridRun(self._grid_layout, len(points), store,
+                           keys=self._point_keys(points),
+                           fingerprint=self._grid_fingerprint(points, design),
+                           metadata={"flow": self.flow, "design": design})
+            (rows,) = run_grid(
+                lambda index: ([self._run_point(points[index])],), grid,
+                workers=workers)
             return SweepResult(flow=self.flow, design=design, rows=rows)
 
-    def _run_sharded_iter(self, points: List[SweepPoint], workers: int):
-        """Sweep rows in grid order, yielded as they complete (fork pool)."""
-        if not points:
-            # Pool(processes=0) raises ValueError; an empty grid (e.g. a
-            # fully-resumed store run) is simply an empty result.
-            return
-        telemetry = current()
-        global _SWEEP_STATE
-        context = multiprocessing.get_context("fork")
-        _SWEEP_STATE = (self, points)
-        try:
-            with context.Pool(processes=min(workers, len(points))) as pool:
-                for index, (row, shard_tree) in enumerate(
-                        pool.imap(_sweep_shard_worker, range(len(points)),
-                                  chunksize=1)):
-                    if shard_tree is not None:
-                        telemetry.adopt(shard_tree, shard=index)
-                    yield row
-        finally:
-            _SWEEP_STATE = None
-
     # ---------------------------------------------------------------- store
+    @staticmethod
+    def _point_keys(points: List[SweepPoint]) -> List[str]:
+        """One stable manifest key per grid point."""
+        return [f"point-{index:04d}" for index in range(len(points))]
+
     def _grid_fingerprint(self, points: List[SweepPoint],
                           design: str) -> str:
         """Digest of every knob that shapes the sweep table.
@@ -232,9 +216,6 @@ class PlacementSweep:
         The netlist factory itself cannot be hashed; the design name it
         produces stands in for it.
         """
-        from ..store import grid_fingerprint
-        from dataclasses import asdict
-
         payload = {
             "design": design,
             "flow": self.flow,
@@ -247,65 +228,3 @@ class PlacementSweep:
                        for point in points],
         }
         return grid_fingerprint(payload)
-
-    def _run_with_store(self, store, points: List[SweepPoint], design: str,
-                        workers: int) -> SweepResult:
-        """The spill-and-resume form of :meth:`run` (one shard per point)."""
-        from ..store import CampaignFrame, CampaignStore
-
-        keys = [f"point-{index:04d}" for index in range(len(points))]
-        sweep_store = CampaignStore.open(
-            store, kind="sweep", scenario_keys=keys,
-            fingerprint=self._grid_fingerprint(points, design),
-            metadata={"flow": self.flow, "design": design})
-        done = set(sweep_store.completed_keys())
-        if done:
-            logger.info("sweep store resume: %d/%d points already complete",
-                        len(done), len(keys))
-        pending = [(key, point) for key, point in zip(keys, points)
-                   if key not in done]
-        pending_keys = [key for key, _point in pending]
-        pending_points = [point for _key, point in pending]
-        if (workers > 1 and len(pending_points) > 1
-                and "fork" in multiprocessing.get_all_start_methods()):
-            results = self._run_sharded_iter(pending_points, workers)
-        else:
-            results = (self._run_point(point) for point in pending_points)
-        written = {}
-        for key, row in zip(pending_keys, results):
-            tables = {"rows": CampaignFrame.from_rows([row], kind="sweep")}
-            sweep_store.write_shard(key, tables)
-            written[key] = tables
-        merged = sweep_store.merge_tables({"rows": "sweep"}, keys=keys,
-                                          cache=written)
-        telemetry = current()
-        telemetry.record_rss()
-        tables = dict(merged)
-        if telemetry.enabled:
-            from ..obs.export import telemetry_frame
-
-            tables["telemetry"] = telemetry_frame(telemetry.snapshot())
-        sweep_store.finalize(tables)
-        return SweepResult(flow=self.flow, design=design,
-                           rows=merged["rows"].to_rows())
-
-
-#: Sweep state inherited by forked shard workers (set around the pool's
-#: lifetime only); the inbound task payload is just the point index.
-_SWEEP_STATE: Optional[Tuple[PlacementSweep, List[SweepPoint]]] = None
-
-
-def _sweep_shard_worker(index: int) -> tuple:
-    """One grid point in the forked child: (row, telemetry tree or None).
-
-    Mirrors :func:`repro.core.flow._scenario_shard_worker`: the child
-    records into a fresh collector when the inherited ambient one is
-    enabled, and the parent adopts the snapshot in grid order.
-    """
-    sweep, points = _SWEEP_STATE
-    if not current().enabled:
-        return sweep._run_point(points[index]), None
-    local = Telemetry(name="shard")
-    with use(local):
-        row = sweep._run_point(points[index])
-    return row, local.snapshot()

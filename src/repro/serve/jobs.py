@@ -100,6 +100,6 @@ class FramePayload:
 #: ``payload`` of a done envelope is job-shaped: chunk jobs carry
 #: ``{"matrix": transport, "dt": float, "t0": float}``, scenario jobs
 #: carry ``{"tables": {name: FramePayload}}`` or ``{"record": ShardRecord}``
-#: plus an optional ``"telemetry"`` span tree, sweep jobs carry
-#: ``{"row": SweepRow}``.
+#: and sweep jobs ``{"row": SweepRow}``, both with a ``"telemetry"`` span
+#: tree (None unless the run records telemetry).
 CLAIM, BEAT, DONE, ERROR = "claim", "beat", "done", "error"

@@ -27,9 +27,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 from queue import Empty
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from ..obs.telemetry import Telemetry, use
+from ..store import open_store
+from ..store.grid import recorded
 from .jobs import (
     ATTACK_STREAM,
     BEAT,
@@ -170,11 +171,11 @@ class _WorkerRuntime:
                 compute_disclosure=spec.compute_disclosure,
                 keep_results=False, streaming=spec.streaming,
                 chunk_size=spec.chunk_size)
-            keys = target._scenario_keys(scenarios)
-            fingerprint = target._grid_fingerprint(keys, plaintexts,
-                                                   spec.seed, options)
+            fingerprint = target._grid_fingerprint(
+                target._scenario_keys(scenarios), plaintexts, spec.seed,
+                options)
             plan = dict(spec=spec, target=target, scenarios=scenarios,
-                        options=options, plaintexts=plaintexts, keys=keys)
+                        options=options, plaintexts=plaintexts)
         else:
             points = target.points()
             design = target.netlist_factory().name
@@ -212,52 +213,27 @@ class _WorkerRuntime:
                 "dt": dt, "t0": t0}
 
     def _execute_scenario(self, job: ScenarioJob, plan: dict) -> dict:
-        from ..store import CampaignFrame, open_store
-
         spec = plan["spec"]
         target = plan["target"]
         scenario = plan["scenarios"][job.scenario]
-        local = Telemetry(name="serve-worker") if spec.record_telemetry \
-            else None
-        if local is not None:
-            with use(local):
-                rows, assessment_rows = target._run_scenario(
-                    scenario, plan["plaintexts"], **plan["options"])
-        else:
-            rows, assessment_rows = target._run_scenario(
-                scenario, plan["plaintexts"], **plan["options"])
-        tables = {
-            "rows": CampaignFrame.from_rows(rows, kind="campaign"),
-            "assessments": CampaignFrame.from_rows(assessment_rows,
-                                                   kind="assessment"),
-        }
+        parts, tree = recorded(
+            lambda: target._run_scenario(scenario, plan["plaintexts"],
+                                         **plan["options"]),
+            record=spec.record_telemetry)
+        tables = target._grid_layout.frames(parts)
         if job.shard_key is not None:
             # Spill the shard straight from the worker — the npz frames are
             # durable before the scheduler commits them to the manifest.
             record = open_store(spec.store).write_shard_tables(job.shard_key,
                                                                tables)
-            payload = {"record": record}
-        else:
-            payload = {"tables": _pack_tables(self.ring, tables)}
-        if local is not None:
-            payload["telemetry"] = local.snapshot()
-        return payload
+            return {"record": record, "telemetry": tree}
+        return {"tables": _pack_tables(self.ring, tables), "telemetry": tree}
 
     def _execute_sweep_point(self, job: SweepJob, plan: dict) -> dict:
-        spec = plan["spec"]
-        target = plan["target"]
         point = plan["points"][job.point]
-        local = Telemetry(name="serve-worker") if spec.record_telemetry \
-            else None
-        if local is not None:
-            with use(local):
-                row = target._run_point(point)
-        else:
-            row = target._run_point(point)
-        payload = {"row": row}
-        if local is not None:
-            payload["telemetry"] = local.snapshot()
-        return payload
+        row, tree = recorded(lambda: plan["target"]._run_point(point),
+                             record=plan["spec"].record_telemetry)
+        return {"row": row, "telemetry": tree}
 
     # ------------------------------------------------------------------ loop
     def loop(self) -> None:

@@ -1,15 +1,18 @@
 """The campaign execution service: persistent pool, async queue, retries.
 
-:class:`CampaignService` replaces the one-shot fork pools of
-``AttackCampaign.run(workers=N)`` with a pool that outlives runs: targets
-are :meth:`~CampaignService.register`\\ ed, :meth:`~CampaignService.start`
-forks the workers (which inherit every registered object copy-on-write),
-and each subsequent run only ships job descriptors.  Streaming campaign
-scenarios decompose into **chunk-level** work units riding the existing
-streaming chunk pipeline, so the load balances across uneven scenarios
-instead of tail-stalling on the slowest one; trace matrices and result
-frame columns come back over per-worker shared-memory rings
-(:mod:`repro.serve.shm`) instead of pickle.
+:class:`CampaignService` is the alternative to the one-shot fork pool of
+:func:`repro.store.grid.fan_out` behind ``run(workers=N)``: a pool that
+outlives runs.  Targets are :meth:`~CampaignService.register`\\ ed,
+:meth:`~CampaignService.start` forks the workers (which inherit every
+registered object copy-on-write), and each subsequent run only ships job
+descriptors.  Streaming campaign scenarios decompose into **chunk-level**
+work units riding the existing streaming chunk pipeline, so the load
+balances across uneven scenarios instead of tail-stalling on the slowest
+one; trace matrices and result frame columns come back over per-worker
+shared-memory rings (:mod:`repro.serve.shm`) instead of pickle.  The
+scheduler owns job scheduling only: opening or resuming a run's store,
+spilling, merging and finalizing go through the same
+:class:`repro.store.grid.GridRun` as the in-process runs.
 
 Determinism is the hard invariant: chunk generation is a pure function of
 (scenario, range) — noise draws are pinned to global trace indices — and
@@ -31,11 +34,14 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from queue import Empty
 from typing import Dict, List, Optional, Set
 
 from ..obs.telemetry import current
+from ..store import CampaignFrame, schema_for
+from ..store.grid import GridRun
 from .jobs import (
     ATTACK_STREAM,
     BEAT,
@@ -231,11 +237,18 @@ class CampaignService:
         self._job_counter += 1
         return self._job_counter
 
-    def _broadcast_spec(self, spec: RunSpec) -> None:
+    @contextmanager
+    def _running(self, spec: RunSpec):
+        """Broadcast ``spec`` to every worker; it stays active (replayed to
+        respawned workers) for the body's lifetime."""
         self._active_specs[spec.run_id] = spec
         for handle in self._workers.values():
             if handle is not None:
                 handle.ctrl.put(spec)
+        try:
+            yield
+        finally:
+            self._active_specs.pop(spec.run_id, None)
 
     # ---------------------------------------------------------------- workers
     def _spawn_worker(self, worker_id: int, generation: int) -> _WorkerHandle:
@@ -344,9 +357,6 @@ class CampaignService:
         return value
 
     def _unpack_frame(self, worker_ref: tuple, payload: FramePayload):
-        from ..store import CampaignFrame
-        from ..store.schema import schema_for
-
         columns = {name: self._take_array(worker_ref, transport)
                    for name, transport in payload.columns.items()}
         null_masks = {name: self._take_array(worker_ref, transport)
@@ -461,11 +471,9 @@ class CampaignService:
         """Scheduled counterpart of ``AttackCampaign.run``'s dispatch block
         (called by it, inside the run's telemetry span)."""
         from ..core.flow import CampaignResult
-        from ..store import CampaignStore
 
         self._require_started()
         name = self._name_of(campaign)
-        telemetry = current()
         keys = campaign._scenario_keys(scenarios)
         fingerprint = campaign._grid_fingerprint(keys, plaintexts, seed,
                                                  options)
@@ -479,66 +487,18 @@ class CampaignService:
             chunk_size=options["chunk_size"],
             store=None if store is None else str(store),
             fingerprint=fingerprint,
-            record_telemetry=telemetry.enabled)
-        campaign_store = None
-        pending_indices = list(range(len(scenarios)))
-        if store is not None:
-            campaign_store = CampaignStore.open(
-                store, kind="campaign", scenario_keys=keys,
-                fingerprint=fingerprint)
-            done_keys = set(campaign_store.completed_keys())
-            pending_indices = [index for index, key in enumerate(keys)
-                               if key not in done_keys]
-            if done_keys:
-                logger.info("service store resume: %d/%d scenarios already "
-                            "complete, %d to run", len(done_keys), len(keys),
-                            len(pending_indices))
-        self._broadcast_spec(spec)
-        try:
-            if options["streaming"]:
-                completed, written = self._run_campaign_chunks(
-                    campaign, scenarios, plaintexts, options, spec,
-                    pending_indices, campaign_store, keys)
-            else:
-                completed, written = self._run_campaign_scenarios(
-                    campaign, scenarios, plaintexts, options, spec,
-                    pending_indices, campaign_store, keys)
-        finally:
-            self._active_specs.pop(spec.run_id, None)
-        telemetry.record_rss()
-        if campaign_store is not None:
-            merged = campaign_store.merge_tables(
-                {"rows": "campaign", "assessments": "assessment"}, keys=keys,
-                cache=written)
-            tables = dict(merged)
-            if telemetry.enabled:
-                from ..obs.export import telemetry_frame
-
-                tables["telemetry"] = telemetry_frame(telemetry.snapshot())
-            campaign_store.finalize(tables)
-            return CampaignResult(rows=merged["rows"].to_rows(),
-                                  assessments=merged["assessments"].to_rows())
-        result = CampaignResult()
-        for index in sorted(completed):
-            rows, assessment_rows = completed[index]
-            result.rows.extend(rows)
-            result.assessments.extend(assessment_rows)
-        return result
-
-    def _spill_scenario(self, campaign_store, keys, index, rows,
-                        assessment_rows, written) -> None:
-        from ..store import CampaignFrame
-
-        tables = {
-            "rows": CampaignFrame.from_rows(rows, kind="campaign"),
-            "assessments": CampaignFrame.from_rows(assessment_rows,
-                                                   kind="assessment"),
-        }
-        campaign_store.write_shard(keys[index], tables)
-        written[keys[index]] = tables
+            record_telemetry=current().enabled)
+        grid = GridRun(campaign._grid_layout, len(scenarios), store,
+                       keys=keys, fingerprint=fingerprint)
+        run_jobs = (self._run_campaign_chunks if options["streaming"]
+                    else self._run_campaign_scenarios)
+        with self._running(spec):
+            run_jobs(campaign, scenarios, plaintexts, options, spec, grid)
+        rows, assessments = grid.finish()
+        return CampaignResult(rows=rows, assessments=assessments)
 
     def _run_campaign_chunks(self, campaign, scenarios, plaintexts, options,
-                             spec, pending_indices, campaign_store, keys):
+                             spec, grid):
         """Streaming scenarios as chunk-level jobs, accumulated in order."""
         from ..core.flow import _StreamingScenarioState
 
@@ -546,8 +506,6 @@ class CampaignService:
         chunk_size = options["chunk_size"]
         tvla_plaintexts = (options["tvla_schedule"][0]
                            if options["tvla_schedule"] is not None else [])
-        completed: Dict[int, tuple] = {}
-        written: Dict[str, dict] = {}
         progress: Dict[int, dict] = {}
         jobs: Dict[int, object] = {}
 
@@ -562,10 +520,7 @@ class CampaignService:
                     telemetry.count("attacks")
                 assessment_rows = (state.value_assessment_rows()
                                    + state.fr_assessment_rows())
-            completed[index] = (rows, assessment_rows)
-            if campaign_store is not None:
-                self._spill_scenario(campaign_store, keys, index, rows,
-                                     assessment_rows, written)
+            grid.add(index, (rows, assessment_rows))
 
         def apply_ready(index):
             context = progress[index]
@@ -589,7 +544,7 @@ class CampaignService:
                    for stream, total in context["totals"].items()):
                 finalize_scenario(index)
 
-        for index in pending_indices:
+        for index in grid.pending:
             state = _StreamingScenarioState(
                 campaign, scenarios[index], plaintexts,
                 attacks=options["attacks"],
@@ -636,130 +591,76 @@ class CampaignService:
             apply_ready(job.scenario)
 
         self._drive(jobs, on_payload, inline_execute)
-        return completed, written
 
     def _run_campaign_scenarios(self, campaign, scenarios, plaintexts,
-                                options, spec, pending_indices,
-                                campaign_store, keys):
+                                options, spec, grid):
         """Non-streaming scenarios as whole-scenario jobs; workers spill
         store shards directly and ship back the manifest receipt."""
-        telemetry = current()
-        completed: Dict[int, tuple] = {}
-        written: Dict[str, dict] = {}
-        trees: List[tuple] = []
         jobs: Dict[int, object] = {}
-        for index in pending_indices:
+        for index in grid.pending:
             job_id = self._next_job_id()
             jobs[job_id] = ScenarioJob(
                 job_id=job_id, run_id=spec.run_id, scenario=index,
-                shard_key=keys[index] if campaign_store is not None else None)
+                shard_key=grid.shard_key(index))
+        self._run_unit_jobs(
+            grid, jobs, lambda job: job.scenario,
+            lambda index: campaign._run_scenario(scenarios[index],
+                                                 plaintexts, **options))
+
+    def _run_unit_jobs(self, grid, jobs, unit_of, run_unit) -> None:
+        """Drive whole-unit jobs (scenarios, sweep points) into ``grid``;
+        ``run_unit(index)`` is the inline (degraded) path.  Worker span
+        trees are adopted in unit order, whatever the completion order."""
+        trees: List[tuple] = []
 
         def on_payload(job, payload, worker_ref):
+            index = unit_of(job)
             if "record" in payload:
                 # The worker already wrote the shard frames; committing the
                 # receipt is the scheduler's (single manifest owner's) job.
-                campaign_store.commit_shard(payload["record"])
-                completed[job.scenario] = ([], [])
+                grid.commit(payload["record"])
+            elif "row" in payload:
+                grid.add(index, ([payload["row"]],))
             else:
                 tables = {name: self._unpack_frame(worker_ref, frame_payload)
                           for name, frame_payload
                           in payload["tables"].items()}
-                completed[job.scenario] = (tables["rows"].to_rows(),
-                                           tables["assessments"].to_rows())
+                grid.add(index, grid.layout.rows(tables))
             tree = payload.get("telemetry")
             if tree is not None:
-                trees.append((job.scenario, worker_ref[0], tree))
+                trees.append((index, worker_ref[0], tree))
 
         def inline_execute(job):
-            rows, assessment_rows = campaign._run_scenario(
-                scenarios[job.scenario], plaintexts, **options)
-            if campaign_store is not None:
-                self._spill_scenario(campaign_store, keys, job.scenario,
-                                     rows, assessment_rows, written)
-                completed[job.scenario] = ([], [])
-            else:
-                completed[job.scenario] = (rows, assessment_rows)
+            grid.add(unit_of(job), run_unit(unit_of(job)))
 
         self._drive(jobs, on_payload, inline_execute)
-        # Adopted in scenario order regardless of completion order, so the
-        # merged span tree is deterministic (worker id is attribution only).
+        telemetry = current()
         for index, worker_id, tree in sorted(trees, key=lambda t: t[0]):
             telemetry.adopt(tree, shard=index, worker=worker_id)
-        return completed, written
 
     # --------------------------------------------------------- sweep execution
     def _execute_sweep(self, sweep, points, design, store=None):
         """Scheduled counterpart of ``PlacementSweep.run``'s dispatch."""
         from ..pnr.sweep import SweepResult
-        from ..store import CampaignFrame, CampaignStore
 
         self._require_started()
         name = self._name_of(sweep)
-        telemetry = current()
         fingerprint = sweep._grid_fingerprint(points, design)
         spec = RunSpec(run_id=self._next_run_id(), name=name, kind="sweep",
                        store=None if store is None else str(store),
                        fingerprint=fingerprint,
-                       record_telemetry=telemetry.enabled)
-        keys = [f"point-{index:04d}" for index in range(len(points))]
-        sweep_store = None
-        pending_indices = list(range(len(points)))
-        if store is not None:
-            sweep_store = CampaignStore.open(
-                store, kind="sweep", scenario_keys=keys,
-                fingerprint=fingerprint,
-                metadata={"flow": sweep.flow, "design": design})
-            done_keys = set(sweep_store.completed_keys())
-            pending_indices = [index for index, key in enumerate(keys)
-                               if key not in done_keys]
-        rows: Dict[int, object] = {}
-        written: Dict[str, dict] = {}
-        trees: List[tuple] = []
+                       record_telemetry=current().enabled)
+        grid = GridRun(sweep._grid_layout, len(points), store,
+                       keys=sweep._point_keys(points), fingerprint=fingerprint,
+                       metadata={"flow": sweep.flow, "design": design})
         jobs: Dict[int, object] = {}
-        self._broadcast_spec(spec)
-        try:
-            for index in pending_indices:
-                job_id = self._next_job_id()
-                jobs[job_id] = SweepJob(job_id=job_id, run_id=spec.run_id,
-                                        point=index)
-
-            def spill_point(index, row):
-                tables = {"rows": CampaignFrame.from_rows([row],
-                                                          kind="sweep")}
-                sweep_store.write_shard(keys[index], tables)
-                written[keys[index]] = tables
-
-            def on_payload(job, payload, worker_ref):
-                rows[job.point] = payload["row"]
-                if sweep_store is not None:
-                    spill_point(job.point, payload["row"])
-                tree = payload.get("telemetry")
-                if tree is not None:
-                    trees.append((job.point, worker_ref[0], tree))
-
-            def inline_execute(job):
-                row = sweep._run_point(points[job.point])
-                rows[job.point] = row
-                if sweep_store is not None:
-                    spill_point(job.point, row)
-
-            self._drive(jobs, on_payload, inline_execute)
-        finally:
-            self._active_specs.pop(spec.run_id, None)
-        for index, worker_id, tree in sorted(trees, key=lambda t: t[0]):
-            telemetry.adopt(tree, shard=index, worker=worker_id)
-        telemetry.record_rss()
-        if sweep_store is not None:
-            merged = sweep_store.merge_tables({"rows": "sweep"}, keys=keys,
-                                              cache=written)
-            tables = dict(merged)
-            if telemetry.enabled:
-                from ..obs.export import telemetry_frame
-
-                tables["telemetry"] = telemetry_frame(telemetry.snapshot())
-            sweep_store.finalize(tables)
-            return SweepResult(flow=sweep.flow, design=design,
-                               rows=merged["rows"].to_rows())
-        return SweepResult(flow=sweep.flow, design=design,
-                           rows=[rows[index]
-                                 for index in range(len(points))])
+        for index in grid.pending:
+            job_id = self._next_job_id()
+            jobs[job_id] = SweepJob(job_id=job_id, run_id=spec.run_id,
+                                    point=index)
+        with self._running(spec):
+            self._run_unit_jobs(
+                grid, jobs, lambda job: job.point,
+                lambda index: ([sweep._run_point(points[index])],))
+        (rows,) = grid.finish()
+        return SweepResult(flow=sweep.flow, design=design, rows=rows)

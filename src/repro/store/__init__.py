@@ -14,7 +14,9 @@ PlacementSweep`):
 * :mod:`repro.store.manifest` — the JSON manifest with per-shard completion
   records that makes crashed sweeps resumable;
 * :mod:`repro.store.store`    — :class:`CampaignStore`, the directory handle
-  tying it together, plus the ``load_*`` consumers.
+  tying it together, plus the ``load_*`` consumers;
+* :mod:`repro.store.grid`     — the one grid runner of campaigns, sweeps
+  and the service: fork fan-out plus the spill/resume/merge protocol.
 
 The package is numpy-only and a dependency leaf: nothing here imports the
 rest of the repo at module scope, so every layer can use it.

@@ -9,9 +9,9 @@ Layout of a store directory (``kind`` is ``campaign`` or ``sweep``)::
     frame.npz                          # merged main table (after finalize)
     assessments.npz                    # merged assessment table (campaign)
 
-:class:`CampaignStore` is the producer handle used by
-:meth:`repro.core.flow.AttackCampaign.run` and
-:meth:`repro.pnr.sweep.PlacementSweep.run`: ``open`` creates or resumes the
+:class:`CampaignStore` is the producer handle behind
+:class:`repro.store.grid.GridRun`, the one spill/resume path of campaigns,
+sweeps and the service: ``open`` creates or resumes the
 manifest (refusing grid mismatches), ``write_shard`` persists one completed
 scenario (frames first, manifest after — crash-safe), ``finalize`` writes
 the merged tables.  The reader side is :func:`load_campaign_result` /

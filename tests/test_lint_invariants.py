@@ -156,6 +156,51 @@ class TestSpanGates:
         assert problems == []
 
 
+class TestGridOwnership:
+    def test_multiprocessing_import_fires(self):
+        problems = _check(
+            """
+            import multiprocessing
+            from multiprocessing.pool import Pool
+            """, "src/repro/core/flow.py")
+        assert len(problems) == 2
+        assert all("multiprocessing imported" in p for p in problems)
+
+    def test_store_open_fires(self):
+        problems = _check(
+            """
+            def run(path):
+                return CampaignStore.open(path, kind="sweep",
+                                          scenario_keys=[], fingerprint="")
+            """, "src/repro/pnr/sweep.py")
+        assert len(problems) == 1
+        assert "CampaignStore.open called" in problems[0]
+
+    @pytest.mark.parametrize("path", ["src/repro/store/grid.py",
+                                      "src/repro/serve/scheduler.py"])
+    def test_grid_owners_are_allowed(self, path):
+        problems = _check(
+            """
+            import multiprocessing
+
+            def run(path):
+                return CampaignStore.open(path, kind="sweep",
+                                          scenario_keys=[], fingerprint="")
+            """, path)
+        assert problems == []
+
+    def test_other_open_calls_are_clean(self):
+        problems = _check(
+            """
+            from multiprocessing_tools import helper
+
+            def read(path, store):
+                with path.open() as handle:
+                    return store.open(handle)
+            """, "src/repro/store/store.py")
+        assert problems == []
+
+
 class TestDriver:
     def test_real_tree_is_clean(self, capsys):
         root = TOOLS.parent / "src"

@@ -24,6 +24,7 @@ from repro.serve import (
     ServiceConfig,
     ShmRing,
 )
+from repro.store.grid import GridRun, fan_out, run_grid
 
 KEY = [0] * 16
 _SBOX = np.asarray(SBOX, dtype=np.int64)
@@ -264,20 +265,21 @@ class TestWorkerFailure:
 
 # ------------------------------------------------------- scheduling seams
 class TestSchedulingSeams:
-    def test_empty_scenario_list_yields_nothing(self):
-        campaign = _grid()
-        plaintexts = [[0] * 16]
-        _scenarios, options = campaign._plan_run(
-            plaintexts, 0, compute_disclosure=False, keep_results=False,
-            streaming=False, chunk_size=None)
-        assert list(campaign._run_sharded_iter([], plaintexts, 4,
-                                               options)) == []
-
-    def test_empty_sweep_grid_yields_nothing(self):
+    @pytest.mark.parametrize("grid", ["campaign", "sweep"])
+    def test_empty_grid_yields_nothing(self, grid):
+        # Pool(processes=0) raises ValueError; an empty grid (e.g. a
+        # fully-resumed store run) is simply an empty result.
         from repro.pnr.sweep import PlacementSweep
 
-        sweep = PlacementSweep(netlist_factory=lambda: None)
-        assert list(sweep._run_sharded_iter([], 4)) == []
+        layout = (AttackCampaign if grid == "campaign"
+                  else PlacementSweep)._grid_layout
+
+        def unit(index):
+            raise AssertionError(f"an empty grid ran unit {index}")
+
+        assert list(fan_out(unit, 0, 4)) == []
+        assert run_grid(unit, GridRun(layout, 0), workers=4) == tuple(
+            [] for _table in layout.tables)
 
     def test_drc_preflight_runs_once_under_sharding(self):
         from repro.drc import default_registry

@@ -10,9 +10,10 @@ CI archives one machine-readable artifact per run:
     python tools/aggregate_benchmarks.py [--results benchmarks/results]
                                          [--output BENCH_summary.json]
 
-Exits nonzero when any recorded assertion failed (``--allow-failures``
-downgrades that to a warning), so the aggregation step doubles as a
-last-ditch gate even when an individual benchmark forgot to assert.
+Exits nonzero when any recorded assertion failed, or when the record of a
+benchmark CI runs (:data:`EXPECTED_RECORDS`) is missing — a benchmark
+that crashed before ``record_benchmark`` is a failure, not silence
+(``--allow-failures`` downgrades both to a warning).
 """
 
 from __future__ import annotations
@@ -23,9 +24,25 @@ import sys
 from pathlib import Path
 
 
-def aggregate(results_dir: Path) -> dict:
+#: The records CI's benchmark steps write (.github/workflows/ci.yml).
+EXPECTED_RECORDS = (
+    "engine_throughput",
+    "sim_engine",
+    "cpa_throughput",
+    "tvla_throughput",
+    "streaming_rss",
+    "hardening",
+    "placer",
+    "campaign_store",
+    "telemetry_overhead",
+    "serve_scaling",
+)
+
+
+def aggregate(results_dir: Path, expected=()) -> dict:
     """Fold every ``<name>.json`` record under ``results_dir`` into one
-    summary dict (benchmarks sorted by name, gate failures tallied)."""
+    summary dict (benchmarks sorted by name, gate failures tallied; each
+    ``expected`` name without a record counts as a failed benchmark)."""
     benchmarks = {}
     failed = []
     assertions_total = 0
@@ -56,12 +73,16 @@ def aggregate(results_dir: Path) -> dict:
             "assertions": assertions,
             "metrics": record.get("metrics") or {},
         }
+    missing = sorted(set(expected) - set(benchmarks))
+    failed.extend({"benchmark": name, "gates": ["missing_record"]}
+                  for name in missing)
     return {
         "benchmarks": benchmarks,
         "summary": {
             "benchmark_count": len(benchmarks),
             "assertion_count": assertions_total,
             "assertions_skipped": assertions_skipped,
+            "missing": missing,
             "failed": failed,
         },
     }
@@ -74,7 +95,8 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default="BENCH_summary.json",
                         help="where to write the merged summary")
     parser.add_argument("--allow-failures", action="store_true",
-                        help="exit 0 even when recorded gates failed")
+                        help="exit 0 even when recorded gates failed or "
+                             "expected records are missing")
     args = parser.parse_args(argv)
 
     results_dir = Path(args.results)
@@ -82,14 +104,15 @@ def main(argv=None) -> int:
         print(f"error: no results directory at {results_dir}",
               file=sys.stderr)
         return 2
-    summary = aggregate(results_dir)
+    summary = aggregate(results_dir, EXPECTED_RECORDS)
     output = Path(args.output)
     output.write_text(json.dumps(summary, indent=2, sort_keys=True,
                                  default=float) + "\n")
     counts = summary["summary"]
     print(f"{output}: {counts['benchmark_count']} benchmarks, "
           f"{counts['assertion_count']} recorded gates, "
-          f"{len(counts['failed'])} with failures")
+          f"{len(counts['failed'])} with failures "
+          f"({len(counts['missing'])} missing)")
     for failure in counts["failed"]:
         print(f"  FAILED {failure['benchmark']}: "
               f"{', '.join(failure['gates'])}", file=sys.stderr)

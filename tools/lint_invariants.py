@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint: invariants ruff cannot express.
 
-Two checks, both pure ``ast`` (stdlib only, no third-party dependency):
+Three checks, all pure ``ast`` (stdlib only, no third-party dependency):
 
 1. **Versioned capacitance writes** — ``Net.routing_cap_ff`` and
    ``Net.dummy_cap_ff`` feed the netlist's ``cap_version`` cache keys; a
@@ -19,6 +19,13 @@ Two checks, both pure ``ast`` (stdlib only, no third-party dependency):
    ``.enabled`` check (``span(...) if telemetry.enabled else _NO_SPAN``
    or an enclosing ``if telemetry.enabled:``): at thousands of iterations
    even a no-op span's bookkeeping is measurable on the placer gate.
+
+3. **One fan-out and one resume path** — campaigns, sweeps and the service
+   share the fork fan-out and the store spill/resume protocol of
+   ``store/grid.py``.  Outside that module and the ``serve/`` package (the
+   persistent worker pool), no module may import ``multiprocessing`` or
+   call ``CampaignStore.open``: a second pool or resume path is how the
+   duplicated copies this rule retired came about.
 
 Usage: ``python tools/lint_invariants.py [roots...]`` (default:
 ``src``).  Prints one ``path:line: message`` per violation and exits
@@ -45,6 +52,12 @@ HOT_MODULES = (
     "circuits/engine.py",
     "circuits/simulator.py",
 )
+
+
+#: The one module owning the fork fan-out and the store resume protocol,
+#: and the package running the persistent worker pool.
+GRID_OWNERS = ("store/grid.py",)
+GRID_OWNER_PACKAGES = ("/serve/",)
 
 
 def _matches(path: Path, suffixes) -> bool:
@@ -153,6 +166,33 @@ class _SpanGateVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _check_grid_ownership(tree: ast.Module, path: str) -> List[str]:
+    problems: List[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(module.split(".")[0] == "multiprocessing"
+               for module in modules):
+            problems.append(
+                f"{path}:{node.lineno}: multiprocessing imported outside "
+                "store/grid.py and serve/; fan units out with "
+                "repro.store.grid.fan_out")
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "open"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "CampaignStore"):
+            problems.append(
+                f"{path}:{node.lineno}: CampaignStore.open called outside "
+                "store/grid.py and serve/; spill and resume through "
+                "repro.store.grid.GridRun")
+    return problems
+
+
 def check_source(source: str, path: str) -> List[str]:
     """All invariant violations of one source file (testable entry)."""
     tree = ast.parse(source, filename=path)
@@ -160,6 +200,9 @@ def check_source(source: str, path: str) -> List[str]:
     posix = Path(path).as_posix()
     if not any(posix.endswith(allowed) for allowed in CAP_ALLOWLIST):
         problems.extend(_check_cap_writes(tree, path))
+    if not (any(posix.endswith(owner) for owner in GRID_OWNERS)
+            or any(package in f"/{posix}" for package in GRID_OWNER_PACKAGES)):
+        problems.extend(_check_grid_ownership(tree, path))
     if any(posix.endswith(hot) for hot in HOT_MODULES):
         visitor = _SpanGateVisitor(path)
         visitor.visit(tree)
