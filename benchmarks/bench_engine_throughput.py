@@ -6,9 +6,10 @@ key guesses):
 
 * trace generation  — ``AesPowerTraceGenerator.trace`` in a Python loop vs
   ``trace_batch`` (traces/second);
-* the DPA attack    — ``dpa_attack_reference`` (one partition + two set
-  averages per guess) vs the vectorized multi-guess ``dpa_attack``
-  (full attacks/second and guess evaluations/second);
+* the DPA attack    — ``dpa_attack_reference`` of ``tests/oracles/dpa.py``
+  (one partition + two set averages per guess) vs the vectorized
+  multi-guess ``dpa_attack`` (full attacks/second and guess
+  evaluations/second);
 * messages-to-disclosure — full re-attack per prefix size vs the
   incremental cumulative-sum sweep.
 
@@ -27,12 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from conftest import record_benchmark
+from oracles.dpa import dpa_attack_reference
 from repro.asyncaes import AesArchitecture, AesNetlistGenerator, AesPowerTraceGenerator
 from repro.core import (
     AesSboxSelection,
     TraceSet,
     dpa_attack,
-    dpa_attack_reference,
     messages_to_disclosure,
 )
 from repro.crypto import random_key

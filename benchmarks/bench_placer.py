@@ -3,8 +3,9 @@
 Three gates, all on the reference reduced asynchronous AES:
 
 * **vectorized speedup** — the numpy batched engine must place the design
-  >= 10x faster than the scalar per-move reference loop at the same
-  schedule (best-of-N timing on both sides to damp scheduler noise);
+  >= 10x faster than the scalar per-move reference loop
+  (``tests/oracles/placer.py``) at the same schedule (best-of-N timing on
+  both sides to damp scheduler noise);
 * **quality bound** — the vectorized placement's estimated wirelength must
   stay within 1.05x of the scalar reference's at equal move budget;
 * **security objective** — placing with ``security_weight > 0`` must enter
@@ -26,10 +27,11 @@ import time
 from pathlib import Path
 
 from conftest import record_benchmark
+from oracles.placer import place_flat_reference
 from repro.asyncaes import AesArchitecture, AesNetlistGenerator
 from repro.core import evaluate_netlist_channels
 from repro.harden.pipeline import flat_pipeline
-from repro.pnr import AnnealingSchedule, FlatPlacer, estimate_routing
+from repro.pnr import FlatPlacer, estimate_routing
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -76,11 +78,13 @@ def main() -> None:
     def place(reference):
         """Build outside, time ``place()`` only (the optimizer under test)."""
         netlist = fresh("aes_bench_ref" if reference else "aes_bench_vec")
-        schedule = AnnealingSchedule(reference=reference)
-        placer = FlatPlacer(seed=args.seed, schedule=schedule,
-                            effort=args.effort)
         start = time.perf_counter()
-        placement = placer.place(netlist)
+        if reference:
+            placement = place_flat_reference(netlist, seed=args.seed,
+                                             effort=args.effort)
+        else:
+            placement = FlatPlacer(seed=args.seed,
+                                   effort=args.effort).place(netlist)
         elapsed = time.perf_counter() - start
         return elapsed, estimate_routing(netlist,
                                          placement).total_wirelength_um()

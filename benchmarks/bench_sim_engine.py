@@ -4,8 +4,8 @@ Measures, on the reference XOR-block stimulus set (a word-wide dual-rail XOR
 bank driven with random rail vectors):
 
 * settled-state queries — the scalar per-vector event loop
-  (``ReferenceSimulator`` + ``settle``) vs the levelized vectorized
-  ``simulate_batch`` sweep (stimuli/second);
+  (``ReferenceSimulator`` of ``tests/oracles/simulator.py`` + ``settle``)
+  vs the levelized vectorized ``simulate_batch`` sweep (stimuli/second);
 * the event loop itself — the dict-backed scalar loop vs the compiled
   table-driven :class:`Simulator` on the same stimuli.
 
@@ -23,9 +23,9 @@ import time
 from pathlib import Path
 
 from conftest import record_benchmark
+from oracles.simulator import ReferenceSimulator
 from repro.circuits import (
     Logic,
-    ReferenceSimulator,
     Simulator,
     build_xor_bank,
     simulate_batch,

@@ -9,17 +9,26 @@ Every benchmark — pytest-style and script-style alike — also records a
 machine-readable summary via :func:`record_benchmark`, one JSON file per
 benchmark under ``benchmarks/results/<name>.json``, so CI can archive a
 uniform metrics set across the whole suite.
+
+Importing this module also puts ``tests/`` on ``sys.path``, so benchmarks
+that time an engine against its reference oracle import the oracle as
+``from oracles.dpa import ...``, exactly as the tests do.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Optional
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
+if str(TESTS_DIR) not in sys.path:
+    sys.path.append(str(TESTS_DIR))
 
 
 def record_benchmark(name: str, *,

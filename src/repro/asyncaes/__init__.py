@@ -58,7 +58,6 @@ from .tracegen import (
     TraceGenerationError,
     TraceGeneratorConfig,
     fixed_vs_random_plaintexts,
-    generate_trace_sets_for_flows,
     word_digits,
 )
 
@@ -102,6 +101,5 @@ __all__ = [
     "TraceGenerationError",
     "TraceGeneratorConfig",
     "fixed_vs_random_plaintexts",
-    "generate_trace_sets_for_flows",
     "word_digits",
 ]

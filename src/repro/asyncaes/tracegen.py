@@ -506,19 +506,3 @@ class AesPowerTraceGenerator:
         if smallest == 0:
             return float("inf") if max(cap0, cap1) > 0 else 0.0
         return abs(cap0 - cap1) / smallest
-
-
-def generate_trace_sets_for_flows(flat_netlist: Netlist, hier_netlist: Netlist,
-                                  key: Sequence[int], plaintexts: Sequence[Sequence[int]],
-                                  *, architecture: Optional[AesArchitecture] = None,
-                                  technology: Technology = HCMOS9_LIKE,
-                                  noise: Optional[NoiseModel] = None
-                                  ) -> Tuple[TraceSet, TraceSet]:
-    """Convenience helper: the same plaintexts traced on both placed designs."""
-    flat_generator = AesPowerTraceGenerator(flat_netlist, key,
-                                            architecture=architecture,
-                                            technology=technology, noise=noise)
-    hier_generator = AesPowerTraceGenerator(hier_netlist, key,
-                                            architecture=architecture,
-                                            technology=technology, noise=noise)
-    return flat_generator.trace_set(plaintexts), hier_generator.trace_set(plaintexts)

@@ -30,7 +30,6 @@ from .handshake import (
     ChannelMonitor,
     FourPhaseConsumer,
     FourPhaseProducer,
-    HandshakeTestbench,
     ProtocolError,
     ResetPulse,
 )
@@ -50,7 +49,6 @@ from .signals import Logic, TraceRecord, Transition, TransitionKind
 from .simulator import (
     DelayModel,
     Process,
-    ReferenceSimulator,
     SimulationError,
     Simulator,
     settle_combinational,
@@ -88,7 +86,6 @@ __all__ = [
     "ChannelMonitor",
     "FourPhaseConsumer",
     "FourPhaseProducer",
-    "HandshakeTestbench",
     "ProtocolError",
     "ResetPulse",
     "DEFAULT_NET_CAP_FF",
@@ -113,7 +110,6 @@ __all__ = [
     "TransitionKind",
     "DelayModel",
     "Process",
-    "ReferenceSimulator",
     "SimulationError",
     "Simulator",
     "settle_combinational",

@@ -21,7 +21,6 @@ Protocol conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .channels import ChannelNets, ChannelState
@@ -213,30 +212,3 @@ class ChannelMonitor(Process):
             self._was_null = False
         elif state is ChannelState.NULL:
             self._was_null = True
-
-
-@dataclass
-class HandshakeTestbench:
-    """Bundles the processes of a single-block testbench for convenience.
-
-    Attributes
-    ----------
-    producers:
-        Input-side producers (one per input channel).
-    consumers:
-        Output-side consumers (one per output channel).
-    """
-
-    producers: List[FourPhaseProducer] = field(default_factory=list)
-    consumers: List[FourPhaseConsumer] = field(default_factory=list)
-    monitors: List[ChannelMonitor] = field(default_factory=list)
-
-    def attach(self, sim: Simulator) -> None:
-        for process in (*self.producers, *self.consumers, *self.monitors):
-            sim.add_process(process)
-
-    def all_producers_done(self) -> bool:
-        return all(p.done for p in self.producers)
-
-    def received(self) -> List[List[int]]:
-        return [c.received for c in self.consumers]

@@ -1,4 +1,4 @@
-"""The paper's contribution: formal model, DPA formalisation, criterion, flow.
+"""The paper's contribution: formal model, DPA formalisation, criterion, campaign.
 
 * :mod:`repro.core.power_model` — equations (1)–(6): dynamic power and the
   block current profile derived from the annotated graph;
@@ -12,7 +12,7 @@
 * :mod:`repro.core.selection`  — the D functions (AES AddRoundKey, DES S-box);
 * :mod:`repro.core.criterion`  — the channel dissymmetry criterion of
   Section VI and Table-2 style reports;
-* :mod:`repro.core.flow`       — the secure hierarchical design flow;
+* :mod:`repro.core.flow`       — the attack campaign that measures a design;
 * :mod:`repro.core.metrics`    — peaks, SNR, key-recovery curves, area
   overhead.
 """
@@ -25,7 +25,6 @@ from .criterion import (
     compare_reports,
     dissymmetry_vector,
     evaluate_capacitance_map,
-    evaluate_channel,
     evaluate_netlist_channels,
     pack_cap_matrix,
 )
@@ -34,7 +33,6 @@ from .cpa import (
     CpaKernel,
     DpaKernel,
     SecondOrderKernel,
-    as_kernel,
     as_leakage_model,
     centered_product_matrix,
     cpa_attack,
@@ -50,7 +48,6 @@ from .dpa import (
     PowerTrace,
     TraceSet,
     dpa_attack,
-    dpa_attack_reference,
     dpa_bias,
     messages_to_disclosure,
     partition_by_values,
@@ -66,12 +63,6 @@ from .flow import (
     CampaignResult,
     CampaignRow,
     CampaignSelection,
-    FlowComparison,
-    FlowConfig,
-    FlowIteration,
-    FlowResult,
-    compare_flat_vs_hierarchical,
-    run_secure_flow,
     standard_attack,
 )
 from .metrics import (
@@ -125,7 +116,6 @@ __all__ = [
     "CpaKernel",
     "DpaKernel",
     "SecondOrderKernel",
-    "as_kernel",
     "as_leakage_model",
     "centered_product_matrix",
     "cpa_attack",
@@ -149,7 +139,6 @@ __all__ = [
     "dissymmetry_vector",
     "pack_cap_matrix",
     "evaluate_capacitance_map",
-    "evaluate_channel",
     "evaluate_netlist_channels",
     "DPAError",
     "DPAResult",
@@ -157,7 +146,6 @@ __all__ = [
     "PowerTrace",
     "TraceSet",
     "dpa_attack",
-    "dpa_attack_reference",
     "dpa_bias",
     "messages_to_disclosure",
     "partition_by_values",
@@ -170,12 +158,6 @@ __all__ = [
     "CampaignResult",
     "CampaignRow",
     "CampaignSelection",
-    "FlowComparison",
-    "FlowConfig",
-    "FlowIteration",
-    "FlowResult",
-    "compare_flat_vs_hierarchical",
-    "run_secure_flow",
     "AreaReport",
     "KeyRecoveryCurve",
     "KeyRecoveryPoint",

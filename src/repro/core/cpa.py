@@ -309,18 +309,6 @@ def as_leakage_model(model_or_selection) -> LeakageModel:
                     "a selection function")
 
 
-def as_kernel(attack) -> AttackKernel:
-    """Coerce a kernel, leakage model or selection function into a kernel."""
-    if hasattr(attack, "statistics"):
-        return attack
-    if hasattr(attack, "model_matrix"):
-        return CpaKernel(attack)
-    if hasattr(attack, "guesses"):
-        return DpaKernel(attack)
-    raise TypeError(f"{attack!r} is not an attack kernel, leakage model or "
-                    "selection function")
-
-
 # ------------------------------------------------------------------ attacks
 def result_from_statistic(statistic: np.ndarray, guess_space: Sequence[int],
                           name: str, trace_count: int, dt: float, t0: float,

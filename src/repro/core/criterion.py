@@ -304,19 +304,6 @@ def _channel_caps_and_block(netlist: Netlist, rails: Sequence[Net],
     return caps, (next(iter(blocks)) if blocks else "")
 
 
-def evaluate_channel(netlist: Netlist, channel_name: str, rails: Sequence[Net], *,
-                     use_load_cap: bool = True) -> ChannelCriterion:
-    """Evaluate the criterion of one channel given its rail nets."""
-    caps, block = _channel_caps_and_block(netlist, rails, use_load_cap)
-    return ChannelCriterion(
-        channel=channel_name,
-        block=block,
-        bit=_infer_bit(channel_name),
-        rail_caps_ff=caps,
-        dissymmetry=channel_dissymmetry(caps),
-    )
-
-
 def evaluate_netlist_channels(netlist: Netlist, *, use_load_cap: bool = True,
                               design_name: Optional[str] = None) -> CriterionReport:
     """Evaluate the dissymmetry criterion of every channel of a netlist.

@@ -16,8 +16,8 @@ matrix: with the selection bits of every guess stacked into a matrix ``B``
 (``n_guesses × n_traces``), the per-guess set sums of equation (8) are the
 single matmul ``B · S`` and the bias signals of equation (9) follow from two
 row-wise divisions.  :func:`dpa_attack` therefore evaluates **all key guesses
-at once**; the per-trace, per-guess formulation it replaces is kept as
-:func:`dpa_attack_reference` so the batched engine can always be checked
+at once**; the per-trace, per-guess formulation it replaces lives with the
+tests (``tests/oracles/dpa.py``) so the batched engine can always be checked
 against the literal textbook loop.
 
 The classes here are agnostic of where the traces come from: the library's
@@ -431,7 +431,7 @@ def dpa_attack(traces: TraceSet, selection: SelectionFunction, *,
     whole guess space is built vectorized, the per-guess set sums of
     equation (8) come from the single matmul ``B · S``, and equation (9)'s
     bias signals follow element-wise.  Numerically equivalent to (and checked
-    in the tests against) :func:`dpa_attack_reference`.
+    in the tests against) the per-guess oracle of ``tests/oracles/dpa.py``.
 
     Parameters
     ----------
@@ -476,44 +476,6 @@ def dpa_attack(traces: TraceSet, selection: SelectionFunction, *,
         )
         if keep_bias:
             guess_result.bias = Waveform(bias[index].copy(), dt, t0)
-        result.results.append(guess_result)
-    return result
-
-
-def dpa_attack_reference(traces: TraceSet, selection: SelectionFunction, *,
-                         guesses: Optional[Sequence[int]] = None,
-                         keep_bias: bool = False,
-                         polarity: str = "abs") -> DPAResult:
-    """The literal per-guess formulation of the attack (reference path).
-
-    Splits and averages the trace set one key guess at a time, exactly as the
-    equations read.  Kept as the equivalence oracle for :func:`dpa_attack`
-    and as the baseline of the engine-throughput benchmark.
-    """
-    if len(traces) == 0:
-        raise DPAError("cannot attack an empty trace set")
-    matrix = traces.matrix()
-    dt, t0 = traces._time_params()
-    guess_space = list(guesses) if guesses is not None else list(selection.guesses())
-
-    result = DPAResult(selection_name=selection.name, trace_count=len(traces))
-    for guess in guess_space:
-        bits = np.array([selection(t.plaintext, guess) for t in traces], dtype=int)
-        bias = _bias_from_matrix(matrix, bits)
-        if bias is None:
-            result.results.append(GuessResult(guess=guess, peak=0.0,
-                                              peak_time=t0, rms=0.0, bias=None))
-            continue
-        abs_bias = _polarized_bias(bias, polarity)
-        peak_index = int(np.argmax(abs_bias))
-        guess_result = GuessResult(
-            guess=guess,
-            peak=float(abs_bias[peak_index]),
-            peak_time=t0 + peak_index * dt,
-            rms=float(np.sqrt(np.mean(bias ** 2))),
-        )
-        if keep_bias:
-            guess_result.bias = Waveform(bias.copy(), dt, t0)
         result.results.append(guess_result)
     return result
 

@@ -12,9 +12,9 @@ to minimize the information leakage":
 4. iterate (tighter fences, different seed) until every channel satisfies the
    required bound.
 
-:func:`run_secure_flow` executes steps 2–4 on any channel-annotated netlist;
-:func:`compare_flat_vs_hierarchical` runs the reference flat flow alongside
-for the Table-2 style comparison.
+Steps 2–4 run through the hardening pass manager
+(:mod:`repro.harden.pipeline`); this module holds the attack campaign that
+measures the outcome.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from ..obs.telemetry import current, use
 from ..crypto.keys import PlaintextGenerator
 from ..electrical.noise import NoiseModel, apply_noise_matrix, apply_noise_trace
 from ..electrical.technology import HCMOS9_LIKE, Technology
-from ..pnr.flows import PlacedDesign, run_flat_flow, run_hierarchical_flow
 from ..store import CampaignFrame, grid_fingerprint, single_row
 from ..store.grid import GridLayout, GridRun, run_grid
 from .cpa import (
@@ -39,9 +38,7 @@ from .cpa import (
     SecondOrderKernel,
     run_attack,
 )
-from .criterion import CriterionReport, evaluate_netlist_channels
 from .dpa import DPAError, DPAResult, TraceSet, messages_to_disclosure
-from .metrics import AreaReport, area_overhead
 from .power_model import (
     HammingDistanceModel,
     HammingWeightModel,
@@ -50,180 +47,6 @@ from .power_model import (
 from .selection import SelectionFunction
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class FlowConfig:
-    """Knobs of the secure design flow."""
-
-    criterion_bound: float = 0.15
-    use_load_cap: bool = True
-    seed: int = 0
-    block_utilization: float = 0.78
-    channel_margin_um: float = 3.0
-    effort: float = 1.0
-    max_iterations: int = 3
-    utilization_step: float = 0.05
-    technology: Technology = field(default_factory=lambda: HCMOS9_LIKE)
-
-
-@dataclass
-class FlowIteration:
-    """Outcome of one place-and-route + criterion evaluation pass."""
-
-    index: int
-    seed: int
-    block_utilization: float
-    max_dissymmetry: float
-    violations: int
-    design: PlacedDesign
-    criterion: CriterionReport
-
-
-@dataclass
-class FlowResult:
-    """Final outcome of the secure design flow."""
-
-    design: PlacedDesign
-    criterion: CriterionReport
-    area: AreaReport
-    passed: bool
-    iterations: List[FlowIteration] = field(default_factory=list)
-
-    @property
-    def max_dissymmetry(self) -> float:
-        return self.criterion.max_dissymmetry
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"[{status}] {self.design.name}: max dA = {self.max_dissymmetry:.3f} "
-            f"over {len(self.criterion)} channels after {len(self.iterations)} "
-            f"iteration(s); die area {self.area.die_area_um2:.0f} um2"
-        )
-
-
-def run_secure_flow(netlist: Netlist, config: Optional[FlowConfig] = None, *,
-                    block_order: Optional[Sequence[str]] = None,
-                    design_name: Optional[str] = None) -> FlowResult:
-    """Run the hierarchical secure flow until the criterion bound is met.
-
-    Every iteration re-places the design with a tighter block utilization (and
-    a fresh seed), mirroring how a designer would constrain the floorplan
-    further when a channel still violates the bound.  The best iteration (the
-    one with the lowest maximum criterion) is returned even when the bound is
-    never met within ``max_iterations``.
-    """
-    config = config if config is not None else FlowConfig()
-    iterations: List[FlowIteration] = []
-    best: Optional[FlowIteration] = None
-
-    utilization = config.block_utilization
-    for index in range(config.max_iterations):
-        seed = config.seed + index
-        design = run_hierarchical_flow(
-            netlist,
-            seed=seed,
-            technology=config.technology,
-            block_utilization=utilization,
-            channel_margin_um=config.channel_margin_um,
-            effort=config.effort,
-            block_order=block_order,
-            design_name=design_name or f"{netlist.name}_secure",
-        )
-        criterion = evaluate_netlist_channels(
-            netlist, use_load_cap=config.use_load_cap,
-            design_name=design.name,
-        )
-        iteration = FlowIteration(
-            index=index,
-            seed=seed,
-            block_utilization=utilization,
-            max_dissymmetry=criterion.max_dissymmetry,
-            violations=len(criterion.channels_above(config.criterion_bound)),
-            design=design,
-            criterion=criterion,
-        )
-        iterations.append(iteration)
-        if best is None or iteration.max_dissymmetry < best.max_dissymmetry:
-            best = iteration
-        if criterion.meets_bound(config.criterion_bound):
-            break
-        # Constrain harder on the next pass.
-        utilization = min(0.95, utilization + config.utilization_step)
-
-    assert best is not None
-    return FlowResult(
-        design=best.design,
-        criterion=best.criterion,
-        area=best.design.area_report(),
-        passed=best.criterion.meets_bound(config.criterion_bound),
-        iterations=iterations,
-    )
-
-
-@dataclass
-class FlowComparison:
-    """Flat-vs-hierarchical comparison (the substance of Table 2)."""
-
-    flat: FlowResult
-    hierarchical: FlowResult
-
-    @property
-    def area_overhead(self) -> float:
-        """Die-area cost of the hierarchical flow (paper: about +20 %)."""
-        return area_overhead(self.flat.area, self.hierarchical.area)
-
-    @property
-    def criterion_improvement(self) -> float:
-        """Ratio of the flat max criterion to the hierarchical one."""
-        hier = self.hierarchical.max_dissymmetry
-        if hier == 0:
-            return float("inf")
-        return self.flat.max_dissymmetry / hier
-
-    def summary(self) -> str:
-        return (
-            f"flat max dA = {self.flat.max_dissymmetry:.3f}, "
-            f"hierarchical max dA = {self.hierarchical.max_dissymmetry:.3f} "
-            f"(improvement x{self.criterion_improvement:.1f}), "
-            f"area overhead {self.area_overhead:+.1%}"
-        )
-
-
-def compare_flat_vs_hierarchical(netlist_factory, *,
-                                 config: Optional[FlowConfig] = None,
-                                 flat_seed: int = 0,
-                                 design_name: str = "design") -> FlowComparison:
-    """Run both flows on freshly built netlists and compare them.
-
-    ``netlist_factory`` is a zero-argument callable returning a new netlist
-    each time, so that the two flows annotate independent copies (extraction
-    mutates net capacitances in place).
-    """
-    config = config if config is not None else FlowConfig()
-
-    flat_netlist = netlist_factory()
-    flat_design = run_flat_flow(
-        flat_netlist, seed=flat_seed, technology=config.technology,
-        effort=config.effort, design_name=f"{design_name}_v2_flat",
-    )
-    flat_criterion = evaluate_netlist_channels(
-        flat_netlist, use_load_cap=config.use_load_cap,
-        design_name=flat_design.name,
-    )
-    flat_result = FlowResult(
-        design=flat_design,
-        criterion=flat_criterion,
-        area=flat_design.area_report(),
-        passed=flat_criterion.meets_bound(config.criterion_bound),
-        iterations=[],
-    )
-
-    hier_netlist = netlist_factory()
-    hier_result = run_secure_flow(hier_netlist, config,
-                                  design_name=f"{design_name}_v1_hier")
-    return FlowComparison(flat=flat_result, hierarchical=hier_result)
 
 
 # ----------------------------------------------------------- attack campaign

@@ -11,10 +11,8 @@ signatures of Figs. 6 and 7 are reproduced in shape.
 from .capacitance import (
     apply_process_variation,
     CapacitanceBreakdown,
-    all_node_capacitances,
     apply_default_routing_caps,
     node_capacitance,
-    switching_charge_fc,
     switching_energy_fj,
     transition_time_s,
 )
@@ -49,11 +47,9 @@ from .waveform import (
 
 __all__ = [
     "CapacitanceBreakdown",
-    "all_node_capacitances",
     "apply_default_routing_caps",
     "apply_process_variation",
     "node_capacitance",
-    "switching_charge_fc",
     "switching_energy_fj",
     "transition_time_s",
     "BlockCurrentResult",

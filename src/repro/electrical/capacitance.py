@@ -12,7 +12,7 @@ driving cells and cancel out between balanced paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Optional
 
 from ..circuits.netlist import Netlist
 from .technology import HCMOS9_LIKE, Technology
@@ -54,19 +54,6 @@ def node_capacitance(netlist: Netlist, net_name: str) -> CapacitanceBreakdown:
         parasitic_ff=driver.parasitic_cap_ff if driver is not None else 0.0,
         short_circuit_ff=driver.short_circuit_cap_ff if driver is not None else 0.0,
     )
-
-
-def all_node_capacitances(netlist: Netlist,
-                          nets: Optional[Iterable[str]] = None) -> Dict[str, CapacitanceBreakdown]:
-    """Breakdown for every net (or the requested subset) of a netlist."""
-    names = list(nets) if nets is not None else netlist.net_names()
-    return {name: node_capacitance(netlist, name) for name in names}
-
-
-def switching_charge_fc(netlist: Netlist, net_name: str,
-                        technology: Technology = HCMOS9_LIKE) -> float:
-    """Charge (fC) moved when the net swings by the full supply voltage."""
-    return node_capacitance(netlist, net_name).total_ff * technology.vdd
 
 
 def switching_energy_fj(netlist: Netlist, net_name: str,

@@ -10,10 +10,8 @@ electrical analysis of the block's current profile.
 from .annotate import (
     GateAnnotation,
     NetAnnotation,
-    all_gate_annotations,
     all_net_annotations,
     annotate_levels,
-    capacitance_by_net,
     describe_graph,
     gate_annotation,
     net_annotation,
@@ -34,12 +32,9 @@ from .build import (
     build_circuit_graph,
     gate_nodes,
     input_node,
-    is_gate_node,
     output_node,
-    refresh_edge_capacitances,
 )
 from .levels import (
-    LevelAnalysisError,
     LevelProfile,
     compute_levels,
     critical_path_length,
@@ -60,10 +55,8 @@ from .symmetry import (
 __all__ = [
     "GateAnnotation",
     "NetAnnotation",
-    "all_gate_annotations",
     "all_net_annotations",
     "annotate_levels",
-    "capacitance_by_net",
     "describe_graph",
     "gate_annotation",
     "net_annotation",
@@ -82,10 +75,7 @@ __all__ = [
     "build_circuit_graph",
     "gate_nodes",
     "input_node",
-    "is_gate_node",
     "output_node",
-    "refresh_edge_capacitances",
-    "LevelAnalysisError",
     "LevelProfile",
     "compute_levels",
     "critical_path_length",

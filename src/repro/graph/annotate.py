@@ -81,10 +81,6 @@ def net_annotation(graph: nx.DiGraph, source: str, target: str) -> NetAnnotation
     )
 
 
-def all_gate_annotations(graph: nx.DiGraph) -> List[GateAnnotation]:
-    return [gate_annotation(graph, node) for node in gate_nodes(graph)]
-
-
 def all_net_annotations(graph: nx.DiGraph) -> List[NetAnnotation]:
     seen: Dict[str, NetAnnotation] = {}
     for source, target in graph.edges():
@@ -103,11 +99,6 @@ def annotate_levels(graph: nx.DiGraph, levels: Dict[str, int]) -> None:
 def total_gate_area(graph: nx.DiGraph) -> float:
     """Sum of the cell areas of all gate vertices (µm²)."""
     return sum(gate_annotation(graph, node).area_um2 for node in gate_nodes(graph))
-
-
-def capacitance_by_net(graph: nx.DiGraph) -> Dict[str, float]:
-    """Map net name → total node capacitance (fF) as annotated on the graph."""
-    return {ann.net: ann.total_cap_ff for ann in all_net_annotations(graph)}
 
 
 def describe_graph(graph: nx.DiGraph, netlist: Optional[Netlist] = None) -> str:

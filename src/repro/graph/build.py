@@ -51,10 +51,6 @@ def output_node(net_name: str) -> str:
     return f"{OUTPUT_PREFIX}{net_name}"
 
 
-def is_gate_node(graph: nx.DiGraph, node: str) -> bool:
-    return graph.nodes[node].get(NODE_KIND) == "gate"
-
-
 def gate_nodes(graph: nx.DiGraph) -> Iterable[str]:
     """Iterate over the gate vertices of the graph (skipping I/O pseudo-nodes)."""
     return (n for n, data in graph.nodes(data=True) if data.get(NODE_KIND) == "gate")
@@ -139,20 +135,3 @@ def build_circuit_graph(netlist: Netlist, *, block: Optional[str] = None,
                 graph.add_edge(source, out, **edge_attrs)
 
     return graph
-
-
-def refresh_edge_capacitances(graph: nx.DiGraph, netlist: Netlist) -> None:
-    """Re-read net capacitances from the netlist into the graph edges.
-
-    Call after place-and-route extraction has updated the netlist so that the
-    graph reflects the back-end values, as the paper does when annotating the
-    graph "with information collected at each different phase of the design".
-    """
-    for _, _, data in graph.edges(data=True):
-        net_name = data[EDGE_NET]
-        if not netlist.has_net(net_name):
-            continue
-        net = netlist.net(net_name)
-        data[EDGE_ROUTING_CAP] = net.routing_cap_ff
-        data[EDGE_LOAD_CAP] = netlist.load_cap_ff(net_name)
-        data[EDGE_TOTAL_CAP] = netlist.total_cap_ff(net_name)

@@ -23,10 +23,6 @@ from ..circuits.signals import TraceRecord, TransitionKind
 from .build import NODE_KIND, gate_nodes
 
 
-class LevelAnalysisError(Exception):
-    """Raised when logical levels cannot be computed."""
-
-
 def _data_subgraph(graph: nx.DiGraph, ignore_nets: Optional[Iterable[str]] = None) -> nx.DiGraph:
     """Return a copy of the graph without edges flagged as acknowledge nets.
 

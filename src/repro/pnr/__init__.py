@@ -12,7 +12,6 @@ from .cells import (
     cell_from_instance,
     cells_from_netlist,
     die_side_for_area,
-    total_cell_area_um2,
 )
 from .extraction import (
     ExtractionLookupError,
@@ -57,7 +56,6 @@ __all__ = [
     "cell_from_instance",
     "cells_from_netlist",
     "die_side_for_area",
-    "total_cell_area_um2",
     "ExtractionLookupError",
     "ExtractionReport",
     "IncrementalExtractor",

@@ -1,9 +1,8 @@
 """Vectorized, security-aware simulated-annealing placement engine.
 
-The scalar annealer of :mod:`repro.pnr.placement` walks one move at a time
-over dict-backed cells; on the reference AES it is ~95 % of every flow run
-and every hardening repair iteration.  This module rebuilds the optimizer on
-numpy:
+The scalar annealer it replaced walked one move at a time over dict-backed
+cells; on the reference AES it was ~95 % of every flow run and every
+hardening repair iteration.  This module rebuilds the optimizer on numpy:
 
 * **array-backed state** — dense cell ids, float64 coordinate vectors, a
   ``fixed`` mask and per-cell fence rectangles resolved once from the
@@ -29,9 +28,9 @@ numpy:
   fact, with per-channel criterion updates numerically identical to
   :func:`repro.core.criterion.dissymmetry_vector`.
 
-The scalar loop survives as ``_refine_with_annealing_reference`` in
-:mod:`repro.pnr.placement` — the oracle the equivalence tests and the
-``benchmarks/bench_placer.py`` ≥10× gate compare against.
+The scalar pipeline survives in ``tests/oracles/placer.py`` — the oracle
+the equivalence tests and the ``benchmarks/bench_placer.py`` ≥10× gate
+compare against.
 """
 
 from __future__ import annotations
@@ -59,10 +58,10 @@ class PlacerConnectivity:
 
     Tracked nets are those with at least two *placed* unique pins; nets
     whose unique-pin count also stays within ``fanout_limit`` carry HPWL
-    cost weight (``wl_weight = 1``), exactly mirroring the scalar
-    ``_WirelengthModel`` selection.  Wider nets are tracked with zero cost
-    weight so the security objective can still follow the rails of
-    high-fanout channels.
+    cost weight (``wl_weight = 1``), exactly mirroring the net selection of
+    the scalar oracle (``tests/oracles/placer.py``).  Wider nets are
+    tracked with zero cost weight so the security objective can still
+    follow the rails of high-fanout channels.
     """
 
     def __init__(self, netlist: Netlist, cells: Mapping[str, PlacedCell], *,
@@ -380,7 +379,7 @@ class VectorPlacementEngine:
 
     # ---------------------------------------------------------- legalization
     def legalize(self) -> None:
-        """Array-based row legalization (the scalar ``_legalize`` semantics).
+        """Array-based row legalization (the scalar oracle's row packer).
 
         Cells are snapped to rows, overloaded rows spill to a neighbour, and
         each row packs left-to-right with minimum displacement.  The packing

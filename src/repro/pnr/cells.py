@@ -69,10 +69,6 @@ def cells_from_netlist(netlist: Netlist,
     }
 
 
-def total_cell_area_um2(cells: Dict[str, PlacedCell]) -> float:
-    return sum(cell.area_um2 for cell in cells.values())
-
-
 def block_areas_um2(cells: Dict[str, PlacedCell]) -> Dict[str, float]:
     """Cell area grouped by architectural block (empty block name = glue)."""
     areas: Dict[str, float] = {}

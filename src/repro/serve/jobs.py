@@ -19,7 +19,7 @@ SlotPayload` receipts into the worker's shared-memory ring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: Stream identifiers of a streaming campaign scenario (the attack stream
 #: consumes the run plaintexts; the TVLA stream consumes the independent

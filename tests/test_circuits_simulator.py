@@ -2,11 +2,11 @@
 
 import pytest
 
+from oracles.simulator import ReferenceSimulator
 from repro.circuits import (
     DelayModel,
     Logic,
     Netlist,
-    ReferenceSimulator,
     SimulationError,
     Simulator,
     settle_combinational,

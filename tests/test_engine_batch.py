@@ -10,6 +10,7 @@ and on the asynchronous-AES pipeline.
 import numpy as np
 import pytest
 
+from oracles.dpa import dpa_attack_reference
 from repro.asyncaes import (
     AesArchitecture,
     AesNetlistGenerator,
@@ -27,7 +28,6 @@ from repro.core import (
     HammingWeightSelection,
     TraceSet,
     dpa_attack,
-    dpa_attack_reference,
     messages_to_disclosure,
     selection_matrix,
 )

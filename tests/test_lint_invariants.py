@@ -201,6 +201,49 @@ class TestGridOwnership:
         assert problems == []
 
 
+class TestOracleNames:
+    def test_reference_names_in_src_fire(self):
+        problems = _check(
+            """
+            def dpa_attack_reference(traces, selection):
+                pass
+
+            class ReferenceSimulator:
+                pass
+            """, "src/repro/core/dpa.py")
+        assert len(problems) == 2
+        assert all("tests/oracles/" in p for p in problems)
+
+    def test_nested_and_unrelated_names_are_clean(self):
+        problems = _check(
+            """
+            def reference_point():
+                def scan_reference():
+                    pass
+
+            class Simulator:
+                def run_reference(self):
+                    pass
+            """, "src/repro/core/dpa.py")
+        assert problems == []
+
+    def test_oracles_outside_src_are_allowed(self):
+        problems = _check(
+            """
+            def dpa_attack_reference(traces, selection):
+                pass
+            """, "tests/oracles/dpa.py")
+        assert problems == []
+
+    def test_driver_rejects_oracle_in_a_src_tree(self, tmp_path, capsys):
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "engine.py").write_text(
+            "class ReferenceEngine:\n    pass\n")
+        assert lint_invariants.main([str(tmp_path / "src")]) == 1
+        assert "ReferenceEngine" in capsys.readouterr().out
+
+
 class TestDriver:
     def test_real_tree_is_clean(self, capsys):
         root = TOOLS.parent / "src"

@@ -14,8 +14,9 @@ import random
 import numpy as np
 import pytest
 
+from oracles.placer import _WirelengthModel, place_flat_reference
 from repro.asyncaes import AesArchitecture, AesNetlistGenerator
-from repro.circuits import build_xor_bank
+from repro.circuits import Netlist, build_xor_bank
 from repro.core import evaluate_netlist_channels
 from repro.electrical import HCMOS9_LIKE
 from repro.pnr import (
@@ -32,7 +33,6 @@ from repro.pnr import (
     initial_placement,
     run_flat_flow,
 )
-from repro.pnr.placement import _WirelengthModel
 
 
 def _random_flat_start(netlist, seed=3):
@@ -183,18 +183,21 @@ class TestPlacerInvariants:
                                security_weight=0.5).place(netlist)
         assert placement.check_legality() == []
 
-    def test_reference_schedule_selects_scalar_path(self):
-        netlist = build_xor_bank(4, "w").netlist
-        schedule = AnnealingSchedule(reference=True)
-        placement = FlatPlacer(seed=2, effort=0.4,
-                               schedule=schedule).place(netlist)
-        assert placement.check_legality() == []
-
-    def test_reference_schedule_rejects_security_weight(self):
-        netlist = build_xor_bank(2, "w").netlist
-        schedule = AnnealingSchedule(reference=True, security_weight=0.5)
-        with pytest.raises(PlacementError):
-            FlatPlacer(seed=2, schedule=schedule).place(netlist)
+    def test_netlist_without_nets_is_legalized_by_the_engine(self):
+        """No multi-pin net: the placer skips optimization and only runs
+        the engine's row legalizer, which must still give a legal,
+        deterministic placement."""
+        netlist = Netlist("loose_inverters")
+        for index in range(40):
+            netlist.add_instance(f"u{index:02d}", "INV",
+                                 {"A": f"a{index:02d}", "Z": f"z{index:02d}"})
+        cells = cells_from_netlist(netlist, HCMOS9_LIKE)
+        assert compile_connectivity(netlist, cells).n_nets == 0
+        p1 = FlatPlacer(seed=4, effort=0.5).place(netlist)
+        p2 = FlatPlacer(seed=4, effort=0.5).place(netlist)
+        assert p1.check_legality() == []
+        for name in p1.cells:
+            assert p1.position_of(name) == p2.position_of(name)
 
 
 class TestAesScaleQualityAndSecurity:
@@ -210,9 +213,7 @@ class TestAesScaleQualityAndSecurity:
     def test_quality_bound_vs_reference(self, aes_architecture):
         """Vectorized HPWL <= 1.05x the scalar reference at equal budget."""
         ref_netlist = self._netlist(aes_architecture)
-        ref_placement = FlatPlacer(
-            seed=5, effort=0.5,
-            schedule=AnnealingSchedule(reference=True)).place(ref_netlist)
+        ref_placement = place_flat_reference(ref_netlist, seed=5, effort=0.5)
         ref_wl = estimate_routing(
             ref_netlist, ref_placement).total_wirelength_um()
 

@@ -3,6 +3,7 @@ routing, extraction, flows)."""
 
 import pytest
 
+from repro.asyncaes import AesArchitecture, AesNetlistGenerator
 from repro.circuits import build_xor_bank
 from repro.core import evaluate_netlist_channels
 from repro.electrical import HCMOS9_LIKE
@@ -199,6 +200,17 @@ class TestFlows:
         flat_report = evaluate_netlist_channels(flat_netlist)
         hier_report = evaluate_netlist_channels(hier_netlist)
         assert len(flat_report) == len(hier_report) > 0
+
+    def test_hierarchical_flow_costs_area_on_small_aes(self):
+        """Table 2: the fenced hierarchical floorplan pays die area."""
+        architecture = AesArchitecture(word_width=8, detail=0.05)
+        flat = run_flat_flow(
+            AesNetlistGenerator(architecture, name="aes_small").build(),
+            seed=0, effort=0.5)
+        hier = run_hierarchical_flow(
+            AesNetlistGenerator(architecture, name="aes_small").build(),
+            seed=0, effort=0.5)
+        assert compare_flows(flat, hier)["area_overhead"] > 0
 
 
 class TestIncrementalExtractor:

@@ -16,12 +16,12 @@ import random
 import numpy as np
 import pytest
 
+from oracles.simulator import ReferenceSimulator
 from repro.circuits import (
     DelayModel,
     EngineError,
     Logic,
     Netlist,
-    ReferenceSimulator,
     Simulator,
     build_dual_rail_and2,
     build_dual_rail_or2,

@@ -16,6 +16,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles.dpa import dpa_attack_reference
 from repro.asyncaes import (
     AesArchitecture,
     AesNetlistGenerator,
@@ -27,7 +28,7 @@ from repro.asyncaes import (
 )
 from repro.circuits import build_xor_bank
 from repro.core import AttackCampaign
-from repro.core.dpa import DPAError, dpa_attack, dpa_attack_reference
+from repro.core.dpa import DPAError, dpa_attack
 from repro.core.selection import (
     AesAddRoundKeySelection,
     AesSboxSelection,

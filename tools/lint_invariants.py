@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint: invariants ruff cannot express.
 
-Three checks, all pure ``ast`` (stdlib only, no third-party dependency):
+Four checks, all pure ``ast`` (stdlib only, no third-party dependency):
 
 1. **Versioned capacitance writes** — ``Net.routing_cap_ff`` and
    ``Net.dummy_cap_ff`` feed the netlist's ``cap_version`` cache keys; a
@@ -26,6 +26,11 @@ Three checks, all pure ``ast`` (stdlib only, no third-party dependency):
    persistent worker pool), no module may import ``multiprocessing`` or
    call ``CampaignStore.open``: a second pool or resume path is how the
    duplicated copies this rule retired came about.
+
+4. **Oracles live in tests** — the slow literal formulations that the
+   vectorized engines are checked against live under ``tests/oracles/``,
+   not in the shipped package.  Under a ``src`` tree, no top-level
+   ``def``/``class`` may be named ``*_reference`` or ``Reference*``.
 
 Usage: ``python tools/lint_invariants.py [roots...]`` (default:
 ``src``).  Prints one ``path:line: message`` per violation and exits
@@ -58,6 +63,9 @@ HOT_MODULES = (
 #: and the package running the persistent worker pool.
 GRID_OWNERS = ("store/grid.py",)
 GRID_OWNER_PACKAGES = ("/serve/",)
+
+#: The package root whose top-level names rule 4 checks.
+PACKAGE_ROOT = "src"
 
 
 def _matches(path: Path, suffixes) -> bool:
@@ -193,6 +201,20 @@ def _check_grid_ownership(tree: ast.Module, path: str) -> List[str]:
     return problems
 
 
+def _check_oracle_names(tree: ast.Module, path: str) -> List[str]:
+    problems: List[str] = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        if node.name.endswith("_reference") or node.name.startswith(
+                "Reference"):
+            problems.append(
+                f"{path}:{node.lineno}: reference oracle {node.name!r} "
+                "defined in the package; move it to tests/oracles/")
+    return problems
+
+
 def check_source(source: str, path: str) -> List[str]:
     """All invariant violations of one source file (testable entry)."""
     tree = ast.parse(source, filename=path)
@@ -203,6 +225,8 @@ def check_source(source: str, path: str) -> List[str]:
     if not (any(posix.endswith(owner) for owner in GRID_OWNERS)
             or any(package in f"/{posix}" for package in GRID_OWNER_PACKAGES)):
         problems.extend(_check_grid_ownership(tree, path))
+    if PACKAGE_ROOT in Path(path).parts:
+        problems.extend(_check_oracle_names(tree, path))
     if any(posix.endswith(hot) for hot in HOT_MODULES):
         visitor = _SpanGateVisitor(path)
         visitor.visit(tree)
