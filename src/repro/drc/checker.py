@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from ..circuits.netlist import Netlist
+from ..graph import build_circuit_graph, compute_levels
 from ..obs.telemetry import current
 from .diagnostics import Diagnostic, DrcError, DrcLocation, DrcReport, Severity
 from .registry import LAYERS, RuleRegistry, default_registry
@@ -48,13 +49,12 @@ class DrcContext:
 
     # ------------------------------------------------------- shared state
     def graph(self):
-        """The circuit graph of the netlist, built once per topology."""
+        """The netlist's :class:`repro.graph.CircuitGraph`, built once per
+        topology (rebuilt when ``topology_version`` moves)."""
         if self.netlist is None:
             raise ValueError("this rule needs a netlist in the DRC context")
         version = self.netlist.topology_version
         if self._graph is None or self._graph_version != version:
-            from ..graph.build import build_circuit_graph
-
             self._graph = build_circuit_graph(self.netlist)
             self._graph_version = version
             self._levels = None
@@ -63,8 +63,6 @@ class DrcContext:
     def levels(self):
         """Logical levels of the graph (cached with it)."""
         if self._levels is None:
-            from ..graph.levels import compute_levels
-
             self._levels = compute_levels(self.graph())
         return self._levels
 

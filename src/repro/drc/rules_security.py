@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import List
 
 from ..circuits.channels import ChannelNets, ChannelSpec
+from ..graph.symmetry import compare_channel_symmetry
 from .diagnostics import Severity
 from .registry import Finding, Rule, finding
 
@@ -24,11 +25,12 @@ def check_cone_symmetry(context) -> List[Finding]:
     cones are empty and trivially symmetric; malformed channels are
     ``NET005``'s business).  An attacker who can tell the rails apart by
     gate count or cell mix defeats the constant-activity argument before
-    capacitances even matter.
+    capacitances even matter.  A netlist using a cell missing from the
+    library has no graph; ``NET004`` reports it and this rule skips it.
     """
-    from ..graph.symmetry import compare_channel_symmetry
-
     netlist = context.netlist
+    if any(inst.cell not in netlist.library for inst in netlist.instances()):
+        return []
     hits: List[Finding] = []
     graph = levels = None
     for channel_name, rails in sorted(netlist.channels().items()):
@@ -39,14 +41,7 @@ def check_cone_symmetry(context) -> List[Finding]:
         if any(net.rail is None for net in rails):
             continue
         if graph is None:
-            # Built on first use; a netlist too malformed to levelize
-            # (combinational cycles, missing cells) is NET003 / NET004's
-            # finding — cone symmetry is meaningless on it anyway.
-            try:
-                graph = context.graph()
-                levels = context.levels()
-            except Exception:  # noqa: BLE001
-                return hits
+            graph, levels = context.graph(), context.levels()
         nets = ChannelNets(
             spec=ChannelSpec(name=channel_name, radix=len(rails)),
             rails=tuple(net.name for net in rails),

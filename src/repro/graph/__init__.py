@@ -1,39 +1,12 @@
-"""Annotated directed-graph formalism of Section III of the paper.
+"""Directed-graph formalism of Section III of the paper.
 
 A QDI block's netlist is converted into a directed graph G(V, E) whose
-vertices are gates and whose edges are interconnections, annotated with gate
-and net parameters.  The graph supports the logical analysis (levels, Nt / Nc
-/ Nij, data-path symmetry) and, once back-end capacitances are annotated, the
-electrical analysis of the block's current profile.
+vertices are gates and whose edges are interconnections.  The graph supports
+the logical analysis (levels, Nt / Nc / Nij, data-path symmetry); the gate
+and net parameters of the electrical analysis stay on the netlist.
 """
 
-from .annotate import (
-    GateAnnotation,
-    NetAnnotation,
-    all_net_annotations,
-    annotate_levels,
-    describe_graph,
-    gate_annotation,
-    net_annotation,
-    total_gate_area,
-)
-from .build import (
-    EDGE_CHANNEL,
-    EDGE_LOAD_CAP,
-    EDGE_NET,
-    EDGE_RAIL,
-    EDGE_ROUTING_CAP,
-    EDGE_TOTAL_CAP,
-    NODE_AREA,
-    NODE_BLOCK,
-    NODE_CELL,
-    NODE_KIND,
-    NODE_LEVEL,
-    build_circuit_graph,
-    gate_nodes,
-    input_node,
-    output_node,
-)
+from .build import CircuitGraph, build_circuit_graph
 from .levels import (
     LevelProfile,
     compute_levels,
@@ -53,29 +26,8 @@ from .symmetry import (
 )
 
 __all__ = [
-    "GateAnnotation",
-    "NetAnnotation",
-    "all_net_annotations",
-    "annotate_levels",
-    "describe_graph",
-    "gate_annotation",
-    "net_annotation",
-    "total_gate_area",
-    "EDGE_CHANNEL",
-    "EDGE_LOAD_CAP",
-    "EDGE_NET",
-    "EDGE_RAIL",
-    "EDGE_ROUTING_CAP",
-    "EDGE_TOTAL_CAP",
-    "NODE_AREA",
-    "NODE_BLOCK",
-    "NODE_CELL",
-    "NODE_KIND",
-    "NODE_LEVEL",
+    "CircuitGraph",
     "build_circuit_graph",
-    "gate_nodes",
-    "input_node",
-    "output_node",
     "LevelProfile",
     "compute_levels",
     "critical_path_length",

@@ -15,45 +15,74 @@ fires per level per computation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
-
-import networkx as nx
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..circuits.signals import TraceRecord, TransitionKind
-from .build import NODE_KIND, gate_nodes
+from .build import CircuitGraph
 
 
-def _data_subgraph(graph: nx.DiGraph, ignore_nets: Optional[Iterable[str]] = None) -> nx.DiGraph:
-    """Return a copy of the graph without edges flagged as acknowledge nets.
+def is_control_net(net: str) -> bool:
+    """True for acknowledge / reset nets, which carry no data."""
+    net = net.lower()
+    return "ack" in net or "reset" in net or "rst" in net
 
-    QDI circuits contain feedback through acknowledgement wires; the logical
-    levels of Section III are defined on the forward data path, so edges whose
-    net name marks them as acknowledge/reset signals are dropped before the
-    longest-path computation.  Remaining cycles are broken conservatively.
+
+def _edge_dfs(successors: Sequence[Sequence[int]], start: int) -> Iterator[Tuple[int, int]]:
+    """Depth-first edge traversal from ``start``, out-edges in list order."""
+    pending = {start: iter(successors[start])}
+    stack = [start]
+    while stack:
+        tail = stack[-1]
+        head = next(pending[tail], None)
+        if head is None:
+            stack.pop()
+            continue
+        if head not in pending:
+            pending[head] = iter(successors[head])
+        stack.append(head)
+        yield tail, head
+
+
+def _cycle_edge(successors: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:
+    """First edge of the cycle a depth-first search meets, or ``None``.
+
+    Starts in gate order and keeps the active path of the traversal; the
+    returned edge leaves the node that closes the cycle.  This cut rule
+    decides the levels of the gates on self-timed loops (and so ``SEC001``'s
+    messages): a different rule, such as cutting the lowest-id edge, moves
+    them.
     """
-    ignore = set(ignore_nets) if ignore_nets is not None else set()
-    sub = graph.copy()
-    to_remove = []
-    for source, target, data in sub.edges(data=True):
-        net = (data.get("net") or "").lower()
-        if data.get("net") in ignore:
-            to_remove.append((source, target))
-        elif "ack" in net or "reset" in net or "rst" in net:
-            to_remove.append((source, target))
-    sub.remove_edges_from(to_remove)
-    if not nx.is_directed_acyclic_graph(sub):
-        # Break remaining cycles (e.g. self-timed loops) by removing one edge
-        # per cycle; levels are then defined per pipeline stage.
-        while True:
-            try:
-                cycle = nx.find_cycle(sub)
-            except nx.NetworkXNoCycle:
-                break
-            sub.remove_edge(*cycle[0][:2])
-    return sub
+    explored: Set[int] = set()
+    for start in range(len(successors)):
+        if start in explored:
+            continue
+        path: List[Tuple[int, int]] = []
+        seen = {start}
+        active = {start}
+        previous_head = None
+        for tail, head in _edge_dfs(successors, start):
+            if head in explored:
+                continue
+            if previous_head is not None and tail != previous_head:
+                # Backtracking: shorten the path until it ends at ``tail``.
+                while True:
+                    if not path:
+                        active = {tail}
+                        break
+                    active.remove(path.pop()[1])
+                    if path and path[-1][1] == tail:
+                        break
+            path.append((tail, head))
+            if head in active:
+                return next((edge for edge in path if edge[0] == head), path[-1])
+            seen.add(head)
+            active.add(head)
+            previous_head = head
+        explored |= seen
+    return None
 
 
-def compute_levels(graph: nx.DiGraph, *,
+def compute_levels(graph: CircuitGraph, *,
                    ignore_nets: Optional[Iterable[str]] = None) -> Dict[str, int]:
     """Assign a logical level to every gate vertex.
 
@@ -61,21 +90,42 @@ def compute_levels(graph: nx.DiGraph, *,
     (gates fed only by primary inputs are level 1), i.e. the longest data path
     from the block inputs — the quantity the paper uses to slice the block
     into ``Nc`` levels.
+
+    QDI circuits contain feedback through acknowledgement wires; the levels
+    are defined on the forward data path, so edges on acknowledge / reset
+    nets (and on ``ignore_nets``) are dropped first.  Remaining cycles (e.g.
+    self-timed loops) are broken by removing one edge per cycle found, so
+    levels are then defined per pipeline stage.  The dict iterates in
+    topological order.
     """
-    sub = _data_subgraph(graph, ignore_nets)
-    levels: Dict[str, int] = {}
-    for node in nx.topological_sort(sub):
-        if sub.nodes[node].get(NODE_KIND) != "gate":
-            continue
-        feeding = [
-            levels[p] for p in sub.predecessors(node)
-            if sub.nodes[p].get(NODE_KIND) == "gate"
-        ]
-        levels[node] = (max(feeding) + 1) if feeding else 1
-    return levels
+    ignore = set(ignore_nets) if ignore_nets is not None else set()
+    data_edges = {(source, target)
+                  for target, feeding in enumerate(graph.predecessors)
+                  for source, net in feeding
+                  if net not in ignore and not is_control_net(net)}
+    successors = [[target for target in fanout if (source, target) in data_edges]
+                  for source, fanout in enumerate(graph.successors)]
+    while True:
+        edge = _cycle_edge(successors)
+        if edge is None:
+            break
+        successors[edge[0]].remove(edge[1])
+    indegree = [0] * len(successors)
+    for fanout in successors:
+        for target in fanout:
+            indegree[target] += 1
+    order = [gate for gate, count in enumerate(indegree) if count == 0]
+    level = [1] * len(successors)
+    for source in order:
+        for target in successors[source]:
+            level[target] = max(level[target], level[source] + 1)
+            indegree[target] -= 1
+            if indegree[target] == 0:
+                order.append(target)
+    return {graph.names[gate]: level[gate] for gate in order}
 
 
-def critical_path_length(graph: nx.DiGraph, **kwargs) -> int:
+def critical_path_length(graph: CircuitGraph, **kwargs) -> int:
     """``Nc``: the number of gates along the longest data path."""
     levels = compute_levels(graph, **kwargs)
     return max(levels.values()) if levels else 0
@@ -103,7 +153,7 @@ class LevelProfile:
         return all(count == 1 for count in self.nij.values()) and len(self.nij) == self.nc
 
 
-def structural_profile(graph: nx.DiGraph, *,
+def structural_profile(graph: CircuitGraph, *,
                        levels: Optional[Mapping[str, int]] = None) -> LevelProfile:
     """Profile derived from the netlist structure only (no simulation).
 
@@ -114,7 +164,7 @@ def structural_profile(graph: nx.DiGraph, *,
     if levels is None:
         levels = compute_levels(graph)
     per_level: Dict[int, int] = {}
-    for node in gate_nodes(graph):
+    for node in graph.names:
         level = levels.get(node, 0)
         if level <= 0:
             continue

@@ -15,12 +15,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set
 
-import networkx as nx
-
 from ..circuits.channels import ChannelNets
 from ..circuits.netlist import Netlist
-from .build import NODE_CELL, NODE_KIND
-from .levels import compute_levels
+from .build import CircuitGraph
+from .levels import compute_levels, is_control_net
 
 
 @dataclass
@@ -54,7 +52,7 @@ class SymmetryReport:
         return not self.mismatches
 
 
-def rail_cone(netlist: Netlist, graph: nx.DiGraph, rail_net: str, *,
+def rail_cone(netlist: Netlist, graph: CircuitGraph, rail_net: str, *,
               stop_at: Optional[Set[str]] = None) -> List[str]:
     """Gate instances in the transitive fan-in cone of ``rail_net``.
 
@@ -63,31 +61,26 @@ def rail_cone(netlist: Netlist, graph: nx.DiGraph, rail_net: str, *,
     ``stop_at`` (used to bound the cone at channel boundaries).
     """
     net = netlist.net(rail_net)
-    if net.driver is None:
+    if net.driver is None or net.driver.instance not in graph.index:
         return []
     stop = stop_at if stop_at is not None else set()
     cone: List[str] = []
-    seen: Set[str] = set()
-    frontier = [net.driver.instance]
+    seen: Set[int] = set()
+    frontier = [graph.index[net.driver.instance]]
     while frontier:
-        instance = frontier.pop()
-        if instance in seen or instance not in graph:
+        gate = frontier.pop()
+        if gate in seen:
             continue
-        seen.add(instance)
-        cone.append(instance)
-        if instance in stop:
+        seen.add(gate)
+        cone.append(graph.names[gate])
+        if graph.names[gate] in stop:
             continue
-        for predecessor in graph.predecessors(instance):
-            if graph.nodes[predecessor].get(NODE_KIND) == "gate":
-                edge = graph.edges[predecessor, instance]
-                net_name = (edge.get("net") or "").lower()
-                if "ack" in net_name or "reset" in net_name or "rst" in net_name:
-                    continue
-                frontier.append(predecessor)
+        frontier.extend(source for source, net_name in graph.predecessors[gate]
+                        if not is_control_net(net_name))
     return cone
 
 
-def cone_profile(graph: nx.DiGraph, rail: str, cone: Sequence[str], *,
+def cone_profile(graph: CircuitGraph, rail: str, cone: Sequence[str], *,
                  levels: Optional[Mapping[str, int]] = None) -> ConeProfile:
     """Summarise a cone per logical level (gate count and cell types)."""
     if levels is None:
@@ -98,7 +91,7 @@ def cone_profile(graph: nx.DiGraph, rail: str, cone: Sequence[str], *,
         level = levels.get(instance, 0)
         gates_per_level[level] = gates_per_level.get(level, 0) + 1
         cells_per_level.setdefault(level, Counter())[
-            graph.nodes[instance].get(NODE_CELL, "?")
+            graph.cells[graph.index[instance]]
         ] += 1
     return ConeProfile(
         rail=rail,
@@ -108,7 +101,7 @@ def cone_profile(graph: nx.DiGraph, rail: str, cone: Sequence[str], *,
     )
 
 
-def compare_channel_symmetry(netlist: Netlist, graph: nx.DiGraph,
+def compare_channel_symmetry(netlist: Netlist, graph: CircuitGraph,
                              channel: ChannelNets, *,
                              levels: Optional[Mapping[str, int]] = None,
                              require_same_cells: bool = True) -> SymmetryReport:
@@ -144,7 +137,7 @@ def compare_channel_symmetry(netlist: Netlist, graph: nx.DiGraph,
     return SymmetryReport(channel=channel.name, profiles=profiles, mismatches=mismatches)
 
 
-def verify_block_symmetry(netlist: Netlist, graph: nx.DiGraph,
+def verify_block_symmetry(netlist: Netlist, graph: CircuitGraph,
                           channels: Sequence[ChannelNets], **kwargs) -> List[SymmetryReport]:
     """Run :func:`compare_channel_symmetry` over several output channels."""
     return [compare_channel_symmetry(netlist, graph, c, **kwargs) for c in channels]

@@ -327,6 +327,25 @@ class TestSecurityRules:
         report = run_drc(_channel_netlist(), layers=("security",))
         assert report.by_rule("SEC001") == []
 
+    def test_sec001_skips_netlist_with_missing_cell(self):
+        netlist = _channel_netlist()
+        netlist.library = CellLibrary()  # the cells vanished from the library
+        report = run_drc(netlist, layers=("netlist", "security"))
+        assert report.by_rule("NET004")
+        assert report.by_rule("SEC001") == []
+
+    def test_sec001_analysis_crash_is_reported(self, monkeypatch):
+        def broken_levels(graph):
+            raise RuntimeError("levelizer bug")
+
+        monkeypatch.setattr("repro.drc.checker.compute_levels", broken_levels)
+        report = run_drc(_channel_netlist(), layers=("security",))
+        hits = report.by_rule("SEC001")
+        assert len(hits) == 1
+        assert hits[0].severity is Severity.ERROR
+        assert "rule implementation crashed" in hits[0].message
+        assert "levelizer bug" in hits[0].message
+
     def test_sec002_dissymmetry_above_bound(self):
         netlist = _channel_netlist(cap_r0=10.0, cap_r1=1.0)
         report = run_drc(netlist, layers=("security",), cap_bound=0.15)

@@ -198,7 +198,9 @@ class TestGridOwnership:
                 with path.open() as handle:
                     return store.open(handle)
             """, "src/repro/store/store.py")
-        assert problems == []
+        # Only rule 5 fires, on the made-up third-party package.
+        assert len(problems) == 1
+        assert "'multiprocessing_tools' imported in the package" in problems[0]
 
 
 class TestOracleNames:
@@ -244,8 +246,36 @@ class TestOracleNames:
         assert "ReferenceEngine" in capsys.readouterr().out
 
 
+class TestPackageImports:
+    def test_third_party_import_in_src_fires(self):
+        problems = _check(
+            """
+            import networkx as nx
+            from networkx.algorithms import dag
+            """, "src/repro/graph/build.py")
+        assert len(problems) == 2
+        assert all("'networkx'" in p for p in problems)
+
+    def test_stdlib_numpy_package_and_relative_imports_are_clean(self):
+        problems = _check(
+            """
+            from __future__ import annotations
+            import collections.abc
+            import numpy as np
+            from repro.circuits import Netlist
+            from ..circuits.netlist import Netlist
+            from . import build
+            """, "src/repro/graph/levels.py")
+        assert problems == []
+
+    def test_third_party_imports_outside_src_are_allowed(self):
+        problems = _check("import networkx\n", "tests/oracles/graph.py")
+        assert problems == []
+
+
 class TestDriver:
     def test_real_tree_is_clean(self, capsys):
+        # Every rule, rule 5 (stdlib + numpy imports only) included.
         root = TOOLS.parent / "src"
         assert lint_invariants.main([str(root)]) == 0
         assert "clean" in capsys.readouterr().out

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint: invariants ruff cannot express.
 
-Four checks, all pure ``ast`` (stdlib only, no third-party dependency):
+Five checks, all pure ``ast`` (stdlib only, no third-party dependency):
 
 1. **Versioned capacitance writes** — ``Net.routing_cap_ff`` and
    ``Net.dummy_cap_ff`` feed the netlist's ``cap_version`` cache keys; a
@@ -31,6 +31,12 @@ Four checks, all pure ``ast`` (stdlib only, no third-party dependency):
    vectorized engines are checked against live under ``tests/oracles/``,
    not in the shipped package.  Under a ``src`` tree, no top-level
    ``def``/``class`` may be named ``*_reference`` or ``Reference*``.
+
+5. **The package runs on numpy alone** — under a ``src`` tree, every
+   absolute import names the standard library (``sys.stdlib_module_names``),
+   ``numpy`` or the package itself (``repro``); relative imports are always
+   fine.  Test-only dependencies (networkx for the graph oracle, pytest,
+   hypothesis) stay under ``tests/``.
 
 Usage: ``python tools/lint_invariants.py [roots...]`` (default:
 ``src``).  Prints one ``path:line: message`` per violation and exits
@@ -64,8 +70,11 @@ HOT_MODULES = (
 GRID_OWNERS = ("store/grid.py",)
 GRID_OWNER_PACKAGES = ("/serve/",)
 
-#: The package root whose top-level names rule 4 checks.
+#: The package root whose top-level names rule 4 and imports rule 5 check.
 PACKAGE_ROOT = "src"
+
+#: Non-stdlib top-level packages a ``src`` module may import (rule 5).
+ALLOWED_IMPORTS = frozenset({"numpy", "repro"})
 
 
 def _matches(path: Path, suffixes) -> bool:
@@ -174,17 +183,19 @@ class _SpanGateVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _imported_packages(node: ast.AST) -> List[str]:
+    """Top-level packages an absolute import statement names."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.split(".")[0]]
+    return []
+
+
 def _check_grid_ownership(tree: ast.Module, path: str) -> List[str]:
     problems: List[str] = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            modules = [node.module or ""]
-        else:
-            modules = []
-        if any(module.split(".")[0] == "multiprocessing"
-               for module in modules):
+        if "multiprocessing" in _imported_packages(node):
             problems.append(
                 f"{path}:{node.lineno}: multiprocessing imported outside "
                 "store/grid.py and serve/; fan units out with "
@@ -215,6 +226,19 @@ def _check_oracle_names(tree: ast.Module, path: str) -> List[str]:
     return problems
 
 
+def _check_imports(tree: ast.Module, path: str) -> List[str]:
+    problems: List[str] = []
+    for node in ast.walk(tree):
+        for package in _imported_packages(node):
+            if (package not in sys.stdlib_module_names
+                    and package not in ALLOWED_IMPORTS):
+                problems.append(
+                    f"{path}:{node.lineno}: {package!r} imported in the "
+                    "package; src imports only the standard library and "
+                    "numpy (test-only dependencies belong under tests/)")
+    return problems
+
+
 def check_source(source: str, path: str) -> List[str]:
     """All invariant violations of one source file (testable entry)."""
     tree = ast.parse(source, filename=path)
@@ -227,6 +251,7 @@ def check_source(source: str, path: str) -> List[str]:
         problems.extend(_check_grid_ownership(tree, path))
     if PACKAGE_ROOT in Path(path).parts:
         problems.extend(_check_oracle_names(tree, path))
+        problems.extend(_check_imports(tree, path))
     if any(posix.endswith(hot) for hot in HOT_MODULES):
         visitor = _SpanGateVisitor(path)
         visitor.visit(tree)
