@@ -31,14 +31,23 @@ class CircuitGraph:
     instance names back to gate ids.  ``predecessors[v]`` holds one
     ``(u, net)`` pair per gate ``u`` driving a net read by ``v``, in the
     netlist's net order; ``successors[u]`` holds the gates reading ``u``'s
-    output, in sink order, each once.
+    output, in sink order, each once.  ``data_predecessors[v]`` keeps the
+    gates of ``predecessors[v]`` whose net carries data (see
+    :func:`is_control_net`), in the same order.
     """
 
     names: List[str]
     cells: List[str]
     predecessors: List[List[Tuple[int, str]]]
     successors: List[List[int]]
+    data_predecessors: List[List[int]]
     index: Dict[str, int]
+
+
+def is_control_net(net: str) -> bool:
+    """True for acknowledge / reset nets, which carry no data."""
+    net = net.lower()
+    return "ack" in net or "reset" in net or "rst" in net
 
 
 def build_circuit_graph(netlist: Netlist) -> CircuitGraph:
@@ -63,5 +72,8 @@ def build_circuit_graph(netlist: Netlist) -> CircuitGraph:
         cells=cells,
         predecessors=[list(feeding.items()) for feeding in predecessors],
         successors=[list(fanout) for fanout in successors],
+        data_predecessors=[[source for source, net in feeding.items()
+                            if not is_control_net(net)]
+                           for feeding in predecessors],
         index=index,
     )

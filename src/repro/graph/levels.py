@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..circuits.signals import TraceRecord, TransitionKind
-from .build import CircuitGraph
-
-
-def is_control_net(net: str) -> bool:
-    """True for acknowledge / reset nets, which carry no data."""
-    net = net.lower()
-    return "ack" in net or "reset" in net or "rst" in net
+from .build import CircuitGraph, is_control_net
 
 
 def _edge_dfs(successors: Sequence[Sequence[int]], start: int) -> Iterator[Tuple[int, int]]:

@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set
 from ..circuits.channels import ChannelNets
 from ..circuits.netlist import Netlist
 from .build import CircuitGraph
-from .levels import compute_levels, is_control_net
+from .levels import compute_levels
 
 
 @dataclass
@@ -64,6 +64,7 @@ def rail_cone(netlist: Netlist, graph: CircuitGraph, rail_net: str, *,
     if net.driver is None or net.driver.instance not in graph.index:
         return []
     stop = stop_at if stop_at is not None else set()
+    feeding = graph.data_predecessors
     cone: List[str] = []
     seen: Set[int] = set()
     frontier = [graph.index[net.driver.instance]]
@@ -75,8 +76,9 @@ def rail_cone(netlist: Netlist, graph: CircuitGraph, rail_net: str, *,
         cone.append(graph.names[gate])
         if graph.names[gate] in stop:
             continue
-        frontier.extend(source for source, net_name in graph.predecessors[gate]
-                        if not is_control_net(net_name))
+        # ``seen`` only grows, so dropping seen gates here keeps the order.
+        frontier.extend(source for source in feeding[gate]
+                        if source not in seen)
     return cone
 
 

@@ -2,7 +2,8 @@
 
 Each module keeps the literal, slow formulation an engine in ``repro``
 replaced: the per-guess DPA loop, the scalar event simulator, the scalar
-placer and the networkx circuit graph (the only module needing networkx).  Tests import them as ``from oracles.dpa import ...``
-(pytest puts ``tests/`` on ``sys.path``); ``benchmarks/conftest.py`` does
-the same for the script benchmarks.
+placer, the networkx circuit graph (the only module needing networkx) and
+the placement-overlap sweep.  Tests import them as ``from oracles.dpa
+import ...`` (pytest puts ``tests/`` on ``sys.path``);
+``benchmarks/conftest.py`` does the same for the script benchmarks.
 """
