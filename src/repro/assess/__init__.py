@@ -37,8 +37,8 @@ from .snr import (
     intermediate_labels,
     snr_by_intermediate,
 )
+from ..core.dpa import DisclosureTracker
 from .streaming import (
-    DisclosureTracker,
     StreamingCpaState,
     StreamingDomState,
     disclosure_boundaries,

@@ -24,6 +24,9 @@ from typing import Optional
 
 import numpy as np
 
+#: Default row selection of the row-sliced read-outs: every row.
+ALL_ROWS = slice(None)
+
 
 class AccumulatorError(Exception):
     """Raised on malformed accumulator updates or merges."""
@@ -349,18 +352,21 @@ class CoMomentAccumulator:
         self.count = total
         return self
 
-    def correlation(self) -> np.ndarray:
-        """The ``(n_vars, n_samples)`` Pearson matrix of everything seen.
+    def correlation(self, rows: slice = ALL_ROWS) -> np.ndarray:
+        """The Pearson matrix of everything seen, for the variables ``rows``
+        (all ``n_vars`` by default) against every sample.
 
         Zero-variance rows or columns give 0 rather than NaN, matching
-        :func:`repro.core.cpa.pearson_statistics`.
+        :func:`repro.core.cpa.pearson_statistics`.  Each entry is the same
+        elementwise expression whatever ``rows`` selects.
         """
         if self.cross is None:
             raise AccumulatorError("accumulator has seen no traces")
+        cross = self.cross[rows]
         denominator = np.sqrt(
-            np.clip(self.m2_x, 0.0, None)[:, None]
+            np.clip(self.m2_x[rows], 0.0, None)[:, None]
             * np.clip(self.m2_y, 0.0, None)[None, :]
         )
-        return np.divide(self.cross, denominator,
-                         out=np.zeros_like(self.cross),
+        return np.divide(cross, denominator,
+                         out=np.zeros_like(cross),
                          where=denominator > 0)

@@ -6,14 +6,18 @@ Both first-order statistics are functions of streaming moments only, so the
 same attacks run chunk-by-chunk without ever materializing the matrix:
 
 * difference of means — per-guess selected-set sums (the running state of
-  :func:`repro.core.dpa.dom_prefix_peaks`);
+  :func:`repro.core.dpa.dom_prefix_states`);
 * Pearson CPA — the cross-moment accumulator of
   :mod:`repro.assess.accumulators` between the hypothesis rows and the
   trace samples.
 
-Each state exposes ``update(matrix, plaintexts)``, boundary ``peaks()`` for
-messages-to-disclosure sweeps, final ``statistics()`` matching the in-memory
-kernel output to floating-point reordering, and exact ``merge`` for shards.
+Each state exposes ``update(matrix, plaintexts)``, boundary ``peaks(rows)``
+for messages-to-disclosure sweeps, final ``statistics(rows)`` matching the
+in-memory kernel output to floating-point reordering, and exact ``merge`` for
+shards.  Both read-outs finalize only the guesses ``rows`` selects, so
+the campaign's :class:`repro.core.dpa.DisclosureTracker` — the in-memory
+sweep's disclosure loop — reads one or two blocks of guesses at a boundary
+where a wrong guess leads.
 Second-order kernels genuinely need the whole matrix (their centered-product
 preprocessing centres on full-set means), so they are rejected with a clear
 error instead of silently approximated.
@@ -26,17 +30,17 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..core.cpa import CpaKernel, DpaKernel
-from ..core.dpa import DPAError, _stable_rank
+from ..core.dpa import DPAError, dom_bias
 from ..core.power_model import leakage_matrix
 from ..core.selection import selection_matrix
-from .accumulators import CoMomentAccumulator
+from .accumulators import ALL_ROWS, CoMomentAccumulator
 
 
 class StreamingDomState:
     """Running difference-of-means state of every key guess at once.
 
     Maintains exactly the prefix sums of the incremental disclosure engine
-    (:func:`repro.core.dpa.dom_prefix_peaks`): the per-guess selected-set
+    (:func:`repro.core.dpa.dom_prefix_states`): the per-guess selected-set
     sums, set sizes and the all-trace sum.  All quantities are plain sums, so
     merging shard states is exact.
     """
@@ -79,21 +83,19 @@ class StreamingDomState:
         self.count += other.count
         return self
 
-    def statistics(self) -> np.ndarray:
-        """The per-guess bias matrix of everything seen (equations (8)–(9))."""
+    def statistics(self, rows: slice = ALL_ROWS) -> np.ndarray:
+        """The bias matrix of the guesses ``rows`` over everything seen
+        (equations (8)–(9))."""
         if self.sum1 is None:
             raise DPAError("streaming DPA state has seen no traces")
-        counts0 = self.count - self.counts1
-        valid = (self.counts1 > 0) & (counts0 > 0)
-        bias = np.zeros_like(self.sum1)
-        if valid.any():
-            bias[valid] = ((self.sum_all - self.sum1[valid]) / counts0[valid, None]
-                           - self.sum1[valid] / self.counts1[valid, None])
+        bias, _ = dom_bias(self.sum1[rows], self.sum_all, self.counts1[rows],
+                           self.count)
         return bias
 
-    def peaks(self) -> np.ndarray:
-        """Per-guess max |bias| (the disclosure-sweep boundary statistic)."""
-        return np.abs(self.statistics()).max(axis=1)
+    def peaks(self, rows: slice = ALL_ROWS) -> np.ndarray:
+        """Per-guess max |bias| of the guesses ``rows`` (the disclosure-sweep
+        boundary statistic)."""
+        return np.abs(self.statistics(rows)).max(axis=1)
 
 
 class StreamingCpaState:
@@ -128,13 +130,13 @@ class StreamingCpaState:
         self._moments.merge(other._moments)
         return self
 
-    def statistics(self) -> np.ndarray:
+    def statistics(self, rows: slice = ALL_ROWS) -> np.ndarray:
         if self._moments.count == 0:
             raise DPAError("streaming CPA state has seen no traces")
-        return self._moments.correlation()
+        return self._moments.correlation(rows)
 
-    def peaks(self) -> np.ndarray:
-        return np.abs(self.statistics()).max(axis=1)
+    def peaks(self, rows: slice = ALL_ROWS) -> np.ndarray:
+        return np.abs(self.statistics(rows)).max(axis=1)
 
 
 def streaming_state(kernel, guess_space: Sequence[int]):
@@ -142,8 +144,10 @@ def streaming_state(kernel, guess_space: Sequence[int]):
 
     :class:`~repro.core.cpa.DpaKernel` and :class:`~repro.core.cpa.CpaKernel`
     map to their moment-based states; custom kernels can participate by
-    exposing ``stream_state(guess_space)``.  Kernels that need the full trace
-    matrix (the second-order centered-product family) are rejected.
+    exposing ``stream_state(guess_space)``, whose state offers the same
+    ``update``/``merge``/``statistics(rows)``/``peaks(rows)`` interface.
+    Kernels that need the full trace matrix (the second-order
+    centered-product family) are rejected.
     """
     maker = getattr(kernel, "stream_state", None)
     if maker is not None:
@@ -158,37 +162,6 @@ def streaming_state(kernel, guess_space: Sequence[int]):
         "full trace matrix — run the campaign without streaming, or add a "
         "stream_state(guess_space) implementation to the kernel"
     )
-
-
-class DisclosureTracker:
-    """Streaming messages-to-disclosure: the stability logic of
-    :func:`repro.core.dpa.messages_to_disclosure` fed boundary peaks.
-
-    ``observe(count, peaks)`` is called at every ascending prefix boundary;
-    :attr:`disclosure` holds the first boundary from which the correct guess
-    ranked first for ``stable_runs`` consecutive boundaries (and stays fixed
-    once found, exactly like the in-memory sweep's early return).
-    """
-
-    def __init__(self, correct_index: int, *, stable_runs: int = 1):
-        self.correct_index = correct_index
-        self.stable_runs = stable_runs
-        self._consecutive = 0
-        self._first_success: Optional[int] = None
-        self.disclosure: Optional[int] = None
-
-    def observe(self, count: int, peaks: np.ndarray) -> None:
-        if self.disclosure is not None:
-            return
-        if _stable_rank(np.asarray(peaks), self.correct_index) == 1:
-            if self._consecutive == 0:
-                self._first_success = count
-            self._consecutive += 1
-            if self._consecutive >= self.stable_runs:
-                self.disclosure = self._first_success
-        else:
-            self._consecutive = 0
-            self._first_success = None
 
 
 def disclosure_boundaries(total: int, *, start: int = 16,

@@ -16,7 +16,8 @@ difference of set means.  A real evaluator's next rungs are:
 
 Both are expressed through one *attack-kernel* protocol — ``statistics``
 produces the full ``(n_guesses, n_columns)`` distinguisher matrix in one
-vectorized pass, ``prefix_peaks`` walks growing trace prefixes incrementally
+vectorized pass, ``prefix_states`` walks growing trace prefixes incrementally
+and finalizes per-guess peaks only for the guesses the rank-1 decision reads
 — so :func:`run_attack`, :func:`repro.core.dpa.messages_to_disclosure` and
 the :class:`repro.core.flow.AttackCampaign` orchestrator treat every attack
 of the suite uniformly.  Everything is linear algebra over the trace matrix:
@@ -26,7 +27,8 @@ the correlation of all 256 guesses with all samples is two centered matmuls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Protocol, Sequence, Tuple
+from functools import partial
+from typing import Callable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .dpa import (
     GuessResult,
     TraceSet,
     _bias_matrix,
-    dom_prefix_peaks,
+    dom_prefix_states,
 )
 from .power_model import LeakageModel, SelectionBitModel, leakage_matrix
 from .selection import SelectionFunction, selection_matrix
@@ -48,9 +50,11 @@ class AttackKernel(Protocol):
 
     ``statistics`` maps the aligned ``(n_traces, n_samples)`` matrix plus the
     plaintexts to the ``(n_guesses, n_columns)`` distinguisher matrix (bias
-    signals for DPA, correlation coefficients for CPA, …); ``prefix_peaks``
-    yields the per-guess peak distinguisher at every prefix boundary of a
-    messages-to-disclosure sweep, incrementally where the statistic allows.
+    signals for DPA, correlation coefficients for CPA, …); ``prefix_states``
+    yields, at every prefix boundary of a messages-to-disclosure sweep, a
+    ``peaks_of(rows)`` read-out of the per-guess peak distinguisher over the
+    running state, so the sweep finalizes only the guesses its rank-1
+    decision (:func:`repro.core.dpa.ranks_first`) reads.
     """
 
     name: str
@@ -63,11 +67,11 @@ class AttackKernel(Protocol):
                    guess_space: Sequence[int]) -> np.ndarray:
         ...
 
-    def prefix_peaks(self, matrix: np.ndarray,
-                     plaintexts: Sequence[Sequence[int]],
-                     guess_space: Sequence[int],
-                     boundaries: Sequence[int]
-                     ) -> Iterator[Tuple[int, np.ndarray]]:
+    def prefix_states(self, matrix: np.ndarray,
+                      plaintexts: Sequence[Sequence[int]],
+                      guess_space: Sequence[int],
+                      boundaries: Sequence[int]
+                      ) -> Iterator[Tuple[int, Callable[[slice], np.ndarray]]]:
         ...
 
 
@@ -99,16 +103,19 @@ def pearson_statistics(matrix: np.ndarray, hypothesis: np.ndarray) -> np.ndarray
                      out=np.zeros_like(covariance), where=denominator > 0)
 
 
-def cpa_prefix_peaks(matrix: np.ndarray, hypothesis: np.ndarray,
-                     boundaries: Sequence[int]
-                     ) -> Iterator[Tuple[int, np.ndarray]]:
-    """Per-guess correlation peaks at every prefix boundary, incrementally.
+def cpa_prefix_states(matrix: np.ndarray, hypothesis: np.ndarray,
+                      boundaries: Sequence[int]
+                      ) -> Iterator[Tuple[int, Callable[[slice], np.ndarray]]]:
+    """The Pearson state at every prefix boundary, incrementally.
 
     Pearson's coefficient over a prefix only needs five running sums (trace
     sums and squares per sample, hypothesis sums and squares per guess, and
     the cross-product matrix), each updatable with one small matmul over the
     newly added slice — the whole sweep costs a single full CPA instead of
-    one CPA per prefix size.
+    one CPA per prefix size.  Yields ``(count, peaks_of)`` pairs as
+    :func:`repro.core.dpa.dom_prefix_states` does: ``peaks_of(rows)`` is the
+    per-guess max |correlation| of the guesses ``rows``, finalized only for
+    those rows and valid until the generator advances.
     """
     matrix = np.asarray(matrix, dtype=float)
     hypothesis = np.asarray(hypothesis, dtype=float)
@@ -118,6 +125,21 @@ def cpa_prefix_peaks(matrix: np.ndarray, hypothesis: np.ndarray,
     model_sum = np.zeros(n_guesses)
     model_sq = np.zeros(n_guesses)
     cross = np.zeros((n_guesses, n_samples))
+
+    def peaks_of(rows: slice, count: int) -> np.ndarray:
+        covariance = (count * cross[rows]
+                      - model_sum[rows, None] * trace_sum[None, :])
+        trace_var = count * trace_sq - trace_sum ** 2
+        model_var = count * model_sq[rows] - model_sum[rows] ** 2
+        denominator = np.sqrt(
+            np.clip(model_var, 0.0, None)[:, None]
+            * np.clip(trace_var, 0.0, None)[None, :]
+        )
+        correlation = np.divide(covariance, denominator,
+                                out=np.zeros_like(covariance),
+                                where=denominator > 0)
+        return np.abs(correlation).max(axis=1)
+
     previous = 0
     for count in boundaries:
         segment = slice(previous, count)
@@ -127,18 +149,16 @@ def cpa_prefix_peaks(matrix: np.ndarray, hypothesis: np.ndarray,
         model_sq += (hypothesis[:, segment] ** 2).sum(axis=1)
         cross += hypothesis[:, segment] @ matrix[segment]
         previous = count
+        yield count, partial(peaks_of, count=count)
 
-        covariance = count * cross - model_sum[:, None] * trace_sum[None, :]
-        trace_var = count * trace_sq - trace_sum ** 2
-        model_var = count * model_sq - model_sum ** 2
-        denominator = np.sqrt(
-            np.clip(model_var, 0.0, None)[:, None]
-            * np.clip(trace_var, 0.0, None)[None, :]
-        )
-        correlation = np.divide(covariance, denominator,
-                                out=np.zeros_like(covariance),
-                                where=denominator > 0)
-        yield count, np.abs(correlation).max(axis=1)
+
+def cpa_prefix_peaks(matrix: np.ndarray, hypothesis: np.ndarray,
+                     boundaries: Sequence[int]
+                     ) -> Iterator[Tuple[int, np.ndarray]]:
+    """Every guess's correlation peak at every prefix boundary (all-rows
+    view of :func:`cpa_prefix_states`)."""
+    for count, peaks_of in cpa_prefix_states(matrix, hypothesis, boundaries):
+        yield count, peaks_of(slice(None))
 
 
 # ----------------------------------------------------------------- kernels
@@ -181,9 +201,9 @@ class DpaKernel:
         bias, _ = _bias_matrix(matrix, self._bits(plaintexts, guess_space))
         return bias
 
-    def prefix_peaks(self, matrix, plaintexts, guess_space, boundaries):
-        return dom_prefix_peaks(matrix, self._bits(plaintexts, guess_space),
-                                boundaries)
+    def prefix_states(self, matrix, plaintexts, guess_space, boundaries):
+        return dom_prefix_states(matrix, self._bits(plaintexts, guess_space),
+                                 boundaries)
 
 
 @dataclass(frozen=True)
@@ -209,10 +229,10 @@ class CpaKernel:
         return pearson_statistics(matrix,
                                   self._hypothesis(plaintexts, guess_space))
 
-    def prefix_peaks(self, matrix, plaintexts, guess_space, boundaries):
-        return cpa_prefix_peaks(matrix,
-                                self._hypothesis(plaintexts, guess_space),
-                                boundaries)
+    def prefix_states(self, matrix, plaintexts, guess_space, boundaries):
+        return cpa_prefix_states(matrix,
+                                 self._hypothesis(plaintexts, guess_space),
+                                 boundaries)
 
 
 def centered_product_matrix(matrix: np.ndarray, *,
@@ -289,9 +309,9 @@ class SecondOrderKernel:
         return self.inner.statistics(self._combined(matrix), plaintexts,
                                      guess_space)
 
-    def prefix_peaks(self, matrix, plaintexts, guess_space, boundaries):
-        return self.inner.prefix_peaks(self._combined(matrix), plaintexts,
-                                       guess_space, boundaries)
+    def prefix_states(self, matrix, plaintexts, guess_space, boundaries):
+        return self.inner.prefix_states(self._combined(matrix), plaintexts,
+                                        guess_space, boundaries)
 
 
 def as_leakage_model(model_or_selection) -> LeakageModel:

@@ -20,6 +20,13 @@ at once**; the per-trace, per-guess formulation it replaces lives with the
 tests (``tests/oracles/dpa.py``) so the batched engine can always be checked
 against the literal textbook loop.
 
+:func:`messages_to_disclosure` grows the trace prefix and asks at every
+boundary only whether the correct guess ranks first.  The prefix states
+(:func:`dom_prefix_states` and the kernel ``prefix_states`` protocol) keep
+running set sums and finalize peaks only for the guesses
+:func:`ranks_first` reads: the correct one, then blocks of :data:`BLOCK`
+guesses until one beats it.
+
 The classes here are agnostic of where the traces come from: the library's
 own synthesized traces (XOR block, asynchronous AES) or any externally
 acquired waveform set.
@@ -28,7 +35,19 @@ acquired waveform set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -305,13 +324,22 @@ def _bias_matrix(matrix: np.ndarray, bit_matrix: np.ndarray
     boolean validity vector (a guess whose partition is single-sided has no
     bias and gets a zero row, matching the per-guess reference).
     """
-    n_traces = matrix.shape[0]
-    counts1 = bit_matrix.sum(axis=1)
-    counts0 = n_traces - counts1
-    sum1 = bit_matrix.astype(float) @ matrix
-    sum_all = matrix.sum(axis=0)
+    return dom_bias(bit_matrix.astype(float) @ matrix, matrix.sum(axis=0),
+                    bit_matrix.sum(axis=1), matrix.shape[0])
+
+
+def dom_bias(sum1: np.ndarray, sum_all: np.ndarray, counts1: np.ndarray,
+             count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Equation (9) from the set sums of equation (8), row by row.
+
+    ``sum1``/``counts1`` are the selected-set sums and sizes of any slice of
+    guesses, ``sum_all`` the all-trace sum over ``count`` traces.  Every
+    entry is the same elementwise expression whatever rows are passed, so a
+    slice of guesses gets bit-identical rows to the full matrix.
+    """
+    counts0 = count - counts1
     valid = (counts1 > 0) & (counts0 > 0)
-    bias = np.zeros((bit_matrix.shape[0], matrix.shape[1]))
+    bias = np.zeros(sum1.shape)
     if valid.any():
         bias[valid] = ((sum_all - sum1[valid]) / counts0[valid, None]
                        - sum1[valid] / counts1[valid, None])
@@ -480,31 +508,50 @@ def dpa_attack(traces: TraceSet, selection: SelectionFunction, *,
     return result
 
 
-def _stable_rank(peaks: np.ndarray, correct_index: int) -> int:
-    """1-based rank of ``peaks[correct_index]`` under a stable descending sort.
+#: Guesses finalized per step of :func:`ranks_first`.
+BLOCK = 16
 
-    Matches :meth:`DPAResult.rank_of` exactly: guesses with a strictly larger
-    peak rank first, and ties are broken by position in the guess space.
+
+def ranks_first(peaks_of: Callable[[slice], np.ndarray], n_guesses: int,
+                correct_index: int) -> bool:
+    """Whether the correct guess ranks first, decided by exceedance.
+
+    ``peaks_of(rows)`` returns the peak distinguisher of a slice of guesses.
+    The correct guess's peak is read first; then the guesses are read one
+    :data:`BLOCK` at a time, in guess order, until one beats it — a strictly
+    larger peak, or an equal peak at an earlier index (the stable-sort tie
+    rule of :meth:`DPAResult.rank_of`).  Peaks are per-row maxima of
+    elementwise expressions, so each block's values are bit-identical to the
+    full finalization, and the answer is exactly "rank == 1" — but a
+    boundary where a wrong guess leads costs one or two blocks, not every
+    guess.
     """
-    correct_peak = peaks[correct_index]
-    better = int((peaks > correct_peak).sum())
-    earlier_ties = int((peaks[:correct_index] == correct_peak).sum())
-    return 1 + better + earlier_ties
+    correct_peak = peaks_of(slice(correct_index, correct_index + 1))[0]
+    for start in range(0, n_guesses, BLOCK):
+        block = peaks_of(slice(start, start + BLOCK))
+        if (block > correct_peak).any():
+            return False
+        if (block[:max(0, correct_index - start)] == correct_peak).any():
+            return False
+    return True
 
 
-def dom_prefix_peaks(matrix: np.ndarray, bit_matrix: np.ndarray,
-                     boundaries: Sequence[int]):
-    """Per-guess bias peaks at every prefix boundary, incrementally.
+def dom_prefix_states(matrix: np.ndarray, bit_matrix: np.ndarray,
+                      boundaries: Sequence[int]
+                      ) -> Iterator[Tuple[int, Callable[[slice], np.ndarray]]]:
+    """The difference-of-means state at every prefix boundary, incrementally.
 
-    Yields ``(count, peaks)`` pairs where ``peaks[g]`` is the maximum
-    absolute bias of guess ``g`` over the first ``count`` traces.  The
-    per-guess set sums of each prefix are the running cumulative sums of the
-    previous prefix plus one small matmul over the new slice of traces — the
-    whole sweep costs a single full attack, O(N·m) per guess, instead of
-    re-running the attack from scratch at every prefix size (O(N²·m)).
+    Yields ``(count, peaks_of)`` pairs where ``peaks_of(rows)`` returns the
+    maximum absolute bias of the guesses ``rows`` over the first ``count``
+    traces; it reads the running state, so call it before advancing the
+    generator.  The per-guess set sums of each prefix are the running sums
+    of the previous prefix plus one small matmul over the new slice of
+    traces — the whole sweep costs a single full attack, O(N·m) per guess,
+    instead of re-running the attack from scratch at every prefix size
+    (O(N²·m)) — and only the guesses a caller reads are finalized.
 
     This is the difference-of-means instance of the attack-kernel
-    ``prefix_peaks`` protocol; :mod:`repro.core.cpa` provides the Pearson
+    ``prefix_states`` protocol; :mod:`repro.core.cpa` provides the Pearson
     and second-order instances.
     """
     n_guesses, n_samples = bit_matrix.shape[0], matrix.shape[1]
@@ -512,6 +559,11 @@ def dom_prefix_peaks(matrix: np.ndarray, bit_matrix: np.ndarray,
     sum1 = np.zeros((n_guesses, n_samples))
     sum_all = np.zeros(n_samples)
     counts1 = np.zeros(n_guesses)
+
+    def peaks_of(rows: slice, count: int) -> np.ndarray:
+        bias, _ = dom_bias(sum1[rows], sum_all, counts1[rows], count)
+        return np.abs(bias).max(axis=1)
+
     previous = 0
     for count in boundaries:
         segment = slice(previous, count)
@@ -519,15 +571,66 @@ def dom_prefix_peaks(matrix: np.ndarray, bit_matrix: np.ndarray,
         sum1 += bit_matrix[:, segment].astype(float) @ matrix[segment]
         counts1 += bit_matrix[:, segment].sum(axis=1)
         previous = count
+        yield count, partial(peaks_of, count=count)
 
-        counts0 = count - counts1
-        valid = (counts1 > 0) & (counts0 > 0)
-        peaks = np.zeros(n_guesses)
-        if valid.any():
-            bias = ((sum_all - sum1[valid]) / counts0[valid, None]
-                    - sum1[valid] / counts1[valid, None])
-            peaks[valid] = np.abs(bias).max(axis=1)
-        yield count, peaks
+
+def dom_prefix_peaks(matrix: np.ndarray, bit_matrix: np.ndarray,
+                     boundaries: Sequence[int]
+                     ) -> Iterator[Tuple[int, np.ndarray]]:
+    """Every guess's bias peak at every prefix boundary (all-rows view of
+    :func:`dom_prefix_states`)."""
+    for count, peaks_of in dom_prefix_states(matrix, bit_matrix, boundaries):
+        yield count, peaks_of(slice(None))
+
+
+class DisclosureTracker:
+    """Messages-to-disclosure fed one prefix boundary at a time.
+
+    The one disclosure loop, shared by :func:`messages_to_disclosure` and
+    the streaming campaigns of :mod:`repro.assess.streaming`.
+    ``observe(count, peaks)`` is called at every ascending prefix boundary;
+    :attr:`disclosure` holds the first boundary from which the correct guess
+    ranked first for ``stable_runs`` consecutive boundaries, and stays fixed
+    once found.
+
+    ``peaks`` is either the boundary's per-guess peak array or a lazy
+    ``peaks_of(rows)`` read-out (a prefix state's, or a streaming state's
+    bound ``peaks``), uncalled; the tracker then reads only the rows
+    :func:`ranks_first` needs, and none at all once the disclosure is
+    fixed.  The lazy form needs ``n_guesses``.
+    """
+
+    def __init__(self, correct_index: int, *, stable_runs: int = 1,
+                 n_guesses: Optional[int] = None):
+        self.correct_index = correct_index
+        self.stable_runs = stable_runs
+        self.n_guesses = n_guesses
+        self._consecutive = 0
+        self._first_success: Optional[int] = None
+        self.disclosure: Optional[int] = None
+
+    def observe(self, count: int,
+                peaks: Union[np.ndarray, Callable[[slice], np.ndarray]]
+                ) -> None:
+        if self.disclosure is not None:
+            return
+        if callable(peaks):
+            if self.n_guesses is None:
+                raise DPAError("a lazy peaks read-out needs the tracker's "
+                               "n_guesses")
+            peaks_of, n_guesses = peaks, self.n_guesses
+        else:
+            peaks = np.asarray(peaks)
+            peaks_of, n_guesses = peaks.__getitem__, len(peaks)
+        if ranks_first(peaks_of, n_guesses, self.correct_index):
+            if self._consecutive == 0:
+                self._first_success = count
+            self._consecutive += 1
+            if self._consecutive >= self.stable_runs:
+                self.disclosure = self._first_success
+        else:
+            self._consecutive = 0
+            self._first_success = None
 
 
 def messages_to_disclosure(traces: TraceSet, attack, correct_guess: int, *,
@@ -543,9 +646,10 @@ def messages_to_disclosure(traces: TraceSet, attack, correct_guess: int, *,
 
     ``attack`` is either a plain :class:`SelectionFunction` (the historical
     difference-of-means sweep) or any attack kernel exposing the
-    ``prefix_peaks(matrix, plaintexts, guess_space, boundaries)`` protocol —
+    ``prefix_states(matrix, plaintexts, guess_space, boundaries)`` protocol —
     e.g. the CPA and second-order kernels of :mod:`repro.core.cpa` — so every
-    attack of the suite shares one incremental disclosure engine.
+    attack of the suite shares one incremental disclosure engine, and each
+    boundary is decided by :func:`ranks_first`.
     """
     if start < 2:
         raise DPAError("need at least 2 traces to run a DPA attack")
@@ -560,23 +664,17 @@ def messages_to_disclosure(traces: TraceSet, attack, correct_guess: int, *,
 
     matrix = traces.matrix()
     boundaries = range(start, len(traces) + 1, step)
-    prefix_peaks = getattr(attack, "prefix_peaks", None)
-    if prefix_peaks is not None:
-        sweep = prefix_peaks(matrix, traces.plaintexts(), guess_space, boundaries)
+    prefix_states = getattr(attack, "prefix_states", None)
+    if prefix_states is not None:
+        sweep = prefix_states(matrix, traces.plaintexts(), guess_space, boundaries)
     else:
         bit_matrix = selection_matrix(attack, traces.plaintexts(), guess_space)
-        sweep = dom_prefix_peaks(matrix, bit_matrix, boundaries)
+        sweep = dom_prefix_states(matrix, bit_matrix, boundaries)
 
-    consecutive = 0
-    first_success: Optional[int] = None
-    for count, peaks in sweep:
-        if _stable_rank(peaks, correct_index) == 1:
-            if consecutive == 0:
-                first_success = count
-            consecutive += 1
-            if consecutive >= stable_runs:
-                return first_success
-        else:
-            consecutive = 0
-            first_success = None
+    tracker = DisclosureTracker(correct_index, stable_runs=stable_runs,
+                                n_guesses=len(guess_space))
+    for count, peaks_of in sweep:
+        tracker.observe(count, peaks_of)
+        if tracker.disclosure is not None:
+            return tracker.disclosure
     return None

@@ -38,7 +38,8 @@ from .cpa import (
     SecondOrderKernel,
     run_attack,
 )
-from .dpa import DPAError, DPAResult, TraceSet, messages_to_disclosure
+from .dpa import (DPAError, DPAResult, DisclosureTracker, TraceSet,
+                  messages_to_disclosure)
 from .power_model import (
     HammingDistanceModel,
     HammingWeightModel,
@@ -1255,11 +1256,7 @@ class _StreamingScenarioState:
                  plaintexts: Sequence[Sequence[int]], *, attacks,
                  assessments, tvla_schedule, compute_disclosure,
                  keep_results):
-        from ..assess.streaming import (
-            DisclosureTracker,
-            disclosure_boundaries,
-            streaming_state,
-        )
+        from ..assess.streaming import disclosure_boundaries, streaming_state
         from ..assess.tvla import BoundarySweep, StreamingTTest
 
         self.campaign = campaign
@@ -1289,7 +1286,8 @@ class _StreamingScenarioState:
                             f"guess {entry.correct_guess:#x} was not part of "
                             "the attack") from None
                     tracker = DisclosureTracker(
-                        correct_index, stable_runs=campaign.stable_runs)
+                        correct_index, stable_runs=campaign.stable_runs,
+                        n_guesses=len(guess_space))
                 self.attack_states.append(
                     (entry, attack_spec, kernel, guess_space, state, tracker))
         self.assessment_states = campaign._value_assessment_states(
@@ -1336,7 +1334,7 @@ class _StreamingScenarioState:
             if self.sweep.at_boundary(stop):
                 for *_, state, tracker in self.attack_states:
                     if tracker is not None:
-                        tracker.observe(stop, state.peaks())
+                        tracker.observe(stop, state.peaks)
         for assessment, state in self.assessment_states:
             self.campaign._update_value_assessment(assessment, state, matrix,
                                                    chunk_plaintexts)

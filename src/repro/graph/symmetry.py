@@ -92,9 +92,10 @@ def cone_profile(graph: CircuitGraph, rail: str, cone: Sequence[str], *,
     for instance in cone:
         level = levels.get(instance, 0)
         gates_per_level[level] = gates_per_level.get(level, 0) + 1
-        cells_per_level.setdefault(level, Counter())[
-            graph.cells[graph.index[instance]]
-        ] += 1
+        cells = cells_per_level.get(level)
+        if cells is None:
+            cells = cells_per_level[level] = Counter()
+        cells[graph.cells[graph.index[instance]]] += 1
     return ConeProfile(
         rail=rail,
         gates=list(cone),

@@ -4,7 +4,9 @@
 matmul; :func:`dpa_attack_reference` splits and averages the trace set one
 guess at a time, exactly as the equations read.  The equivalence tests and
 ``benchmarks/bench_engine_throughput.py`` compare the batched engine against
-it.
+it.  :func:`_stable_rank` ranks one guess over a full peak vector; the
+exceedance decision :func:`repro.core.dpa.ranks_first` is checked against
+``_stable_rank(...) == 1``.
 """
 
 from typing import Optional, Sequence
@@ -59,3 +61,15 @@ def dpa_attack_reference(traces: TraceSet, selection: SelectionFunction, *,
             guess_result.bias = Waveform(bias.copy(), dt, t0)
         result.results.append(guess_result)
     return result
+
+
+def _stable_rank(peaks: np.ndarray, correct_index: int) -> int:
+    """1-based rank of ``peaks[correct_index]`` under a stable descending sort.
+
+    Matches :meth:`DPAResult.rank_of` exactly: guesses with a strictly larger
+    peak rank first, and ties are broken by position in the guess space.
+    """
+    correct_peak = peaks[correct_index]
+    better = int((peaks > correct_peak).sum())
+    earlier_ties = int((peaks[:correct_index] == correct_peak).sum())
+    return 1 + better + earlier_ties
