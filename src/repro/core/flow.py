@@ -30,7 +30,8 @@ from ..crypto.keys import PlaintextGenerator
 from ..electrical.noise import NoiseModel, apply_noise_matrix, apply_noise_trace
 from ..electrical.technology import HCMOS9_LIKE, Technology
 from ..store import CampaignFrame, grid_fingerprint, single_row
-from ..store.grid import GridLayout, GridRun, run_grid
+from ..store.grid import (GridLayout, GridRun, run_grid,
+                          single_blas_thread)
 from .cpa import (
     AttackKernel,
     CpaKernel,
@@ -1165,10 +1166,10 @@ class AttackCampaign:
                     raise DrcError(preflight, subject="campaign")
                 for diagnostic in preflight.diagnostics:
                     logger.warning("campaign DRC: %s", diagnostic.render())
-            with telemetry.span(
+            with single_blas_thread() as blas_threads, telemetry.span(
                     "campaign", scenarios=len(scenarios),
                     traces=len(plaintexts), workers=workers,
-                    streaming=streaming):
+                    streaming=streaming, blas_threads=blas_threads):
                 if service is not None:
                     return service._execute_campaign(
                         self, scenarios, plaintexts, seed, options,

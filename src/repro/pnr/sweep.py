@@ -25,7 +25,8 @@ from ..circuits.netlist import Netlist
 from ..electrical.technology import HCMOS9_LIKE, Technology
 from ..obs.telemetry import current, use
 from ..store import grid_fingerprint
-from ..store.grid import GridLayout, GridRun, run_grid
+from ..store.grid import (GridLayout, GridRun, run_grid,
+                          single_blas_thread)
 from .placement import AnnealingSchedule, PlacementError
 
 
@@ -188,9 +189,10 @@ class PlacementSweep:
             raise PlacementError(
                 "workers does not compose with service=: the service owns "
                 "the worker pool (configure it there)")
-        with use(telemetry), telemetry.span(
-                "sweep", flow=self.flow, design=design,
-                points=len(points), workers=workers):
+        with (use(telemetry), single_blas_thread() as blas_threads,
+              telemetry.span("sweep", flow=self.flow, design=design,
+                             points=len(points), workers=workers,
+                             blas_threads=blas_threads)):
             if service is not None:
                 return service._execute_sweep(self, points, design,
                                               store=store)

@@ -30,7 +30,7 @@ from queue import Empty
 from typing import Dict, Tuple
 
 from ..store import open_store
-from ..store.grid import recorded
+from ..store.grid import recorded, single_blas_thread
 from .jobs import (
     ATTACK_STREAM,
     BEAT,
@@ -279,4 +279,7 @@ def worker_main(worker_id: int, generation: int, targets: dict, job_queue,
     """Entry point of a forked pool worker."""
     runtime = _WorkerRuntime(worker_id, generation, targets, job_queue,
                              result_queue, ctrl_queue, ring, config, fault)
-    runtime.loop()
+    # One BLAS thread, as in every fan_out grid: service frames then equal
+    # serial ones bit for bit, and N workers do not oversubscribe the cores.
+    with single_blas_thread():
+        runtime.loop()

@@ -10,12 +10,26 @@ protocol: open or resume, skip completed keys, spill each unit, merge,
 add the telemetry frame, finalize.  :func:`run_grid` composes the two;
 the :mod:`repro.serve` scheduler drives a :class:`GridRun` from its own
 jobs.
+
+Every grid runs with the loaded OpenBLAS at one thread
+(:func:`single_blas_thread`, entered by :func:`fan_out` around both its
+serial and its fork branch; forked children inherit the count).  The
+campaign and sweep entry points enter it as well, so their spans record
+the count and the parent-side work of service runs is pinned too.  Two
+reasons: ``workers`` forked processes that each start one BLAS thread per
+core oversubscribe the cores, and a threaded gemm splits its sums
+differently from a serial one, so its last bits — and with them the
+``best_peak``/``discrimination`` columns — would depend on the host's
+core count.  Pinned, serial and pooled runs agree on any host, whatever
+``OPENBLAS_NUM_THREADS`` says.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import multiprocessing
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
@@ -66,6 +80,69 @@ def recorded(call: Callable[[], object], *,
     return result, local.snapshot()
 
 
+#: (set, get) thread-count symbol pairs of the OpenBLAS builds numpy
+#: bundles, tried in order: scipy-openblas (ILP64), older ILP64, LP64.
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+#: The loaded OpenBLAS's (set, get) functions once looked up: ``None``
+#: before the first :func:`single_blas_thread`, ``()`` when none was found.
+_BLAS_CONTROLS: Optional[tuple] = None
+
+
+def _blas_controls() -> tuple:
+    """``(set, get)`` of numpy's OpenBLAS thread count, or ``()``.
+
+    Looked up once, on first use, so importing :mod:`repro` stays cheap:
+    the shared objects under ``numpy.libs`` are the ones numpy already
+    loaded, so ``dlopen`` hands back the same library instance.
+    """
+    global _BLAS_CONTROLS
+    if _BLAS_CONTROLS is None:
+        import numpy
+
+        libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+        libraries = [ctypes.CDLL(str(path))
+                     for path in sorted(libs.glob("lib*openblas*.so*"))]
+        _BLAS_CONTROLS = next(
+            ((getattr(library, set_name), getattr(library, get_name))
+             for library in libraries
+             for set_name, get_name in _BLAS_SYMBOLS
+             if hasattr(library, set_name) and hasattr(library, get_name)),
+            ())
+        if not _BLAS_CONTROLS:
+            logger.warning(
+                "no OpenBLAS thread-count symbol found under %s; grid runs "
+                "keep the ambient BLAS thread count, so their last bits may "
+                "depend on the host's core count", libs)
+    return _BLAS_CONTROLS
+
+
+@contextmanager
+def single_blas_thread() -> Iterator[Optional[int]]:
+    """Run the body with the loaded OpenBLAS at one thread.
+
+    Yields the effective count read back from the library (``None`` when
+    no OpenBLAS symbol was found: then this is a no-op).  The caller's
+    count is restored on exit — also on an exception or when an enclosing
+    generator is closed early.
+    """
+    controls = _blas_controls()
+    if not controls:
+        yield None
+        return
+    set_threads, get_threads = controls
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield get_threads()
+    finally:
+        set_threads(previous)
+
+
 #: The unit function inherited by forked children (set around the pool's
 #: lifetime only); the inbound task payload is just the unit index.
 _GRID_UNIT: Optional[Callable[[int], object]] = None
@@ -83,29 +160,32 @@ def fan_out(unit: Callable[[int], object], count: int,
     Serial when ``workers <= 1``, ``count <= 1`` or ``fork`` is
     unavailable; otherwise one lazily consumed ``fork`` pool whose span
     trees are adopted in index order with ``shard=index``, so the merged
-    tree has the serial shape.  The results are identical either way.
+    tree has the serial shape.  Either way the units run under
+    :func:`single_blas_thread` (children fork with the pinned count), so
+    the results are identical.
     """
     global _GRID_UNIT
     fork = "fork" in multiprocessing.get_all_start_methods()
-    if workers <= 1 or count <= 1 or not fork:
-        if workers > 1 and count > 1:
-            logger.info("fork unavailable on this platform; running %d "
-                        "unit(s) serially", count)
-        for index in range(count):
-            yield unit(index)
-        return
-    telemetry = current()
-    _GRID_UNIT = unit
-    try:
-        context = multiprocessing.get_context("fork")
-        with context.Pool(processes=min(workers, count)) as pool:
-            for index, (result, tree) in enumerate(
-                    pool.imap(_grid_worker, range(count), chunksize=1)):
-                if tree is not None:
-                    telemetry.adopt(tree, shard=index)
-                yield result
-    finally:
-        _GRID_UNIT = None
+    with single_blas_thread():
+        if workers <= 1 or count <= 1 or not fork:
+            if workers > 1 and count > 1:
+                logger.info("fork unavailable on this platform; running %d "
+                            "unit(s) serially", count)
+            for index in range(count):
+                yield unit(index)
+            return
+        telemetry = current()
+        _GRID_UNIT = unit
+        try:
+            context = multiprocessing.get_context("fork")
+            with context.Pool(processes=min(workers, count)) as pool:
+                for index, (result, tree) in enumerate(
+                        pool.imap(_grid_worker, range(count), chunksize=1)):
+                    if tree is not None:
+                        telemetry.adopt(tree, shard=index)
+                    yield result
+        finally:
+            _GRID_UNIT = None
 
 
 class GridRun:
