@@ -17,7 +17,11 @@ in-memory kernel output to floating-point reordering, and exact ``merge`` for
 shards.  Both read-outs finalize only the guesses ``rows`` selects, so
 the campaign's :class:`repro.core.dpa.DisclosureTracker` — the in-memory
 sweep's disclosure loop — reads one or two blocks of guesses at a boundary
-where a wrong guess leads.
+where a wrong guess leads.  Unlike the in-memory sweep, whose
+:class:`repro.core.dpa.BlockSums` replay a block's past segments the first
+time it is read, a streaming state accumulates every guess at every chunk:
+the stream drops each chunk once it is folded in, so there is nothing left
+to replay.
 Second-order kernels genuinely need the whole matrix (their centered-product
 preprocessing centres on full-set means), so they are rejected with a clear
 error instead of silently approximated.

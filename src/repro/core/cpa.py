@@ -17,8 +17,9 @@ difference of set means.  A real evaluator's next rungs are:
 Both are expressed through one *attack-kernel* protocol — ``statistics``
 produces the full ``(n_guesses, n_columns)`` distinguisher matrix in one
 vectorized pass, ``prefix_states`` walks growing trace prefixes incrementally
-and finalizes per-guess peaks only for the guesses the rank-1 decision reads
-— so :func:`run_attack`, :func:`repro.core.dpa.messages_to_disclosure` and
+and accumulates and finalizes per-guess state only for the blocks of guesses
+the rank-1 decision reads — so :func:`run_attack`,
+:func:`repro.core.dpa.messages_to_disclosure` and
 the :class:`repro.core.flow.AttackCampaign` orchestrator treat every attack
 of the suite uniformly.  Everything is linear algebra over the trace matrix:
 the correlation of all 256 guesses with all samples is two centered matmuls.
@@ -34,6 +35,7 @@ import numpy as np
 
 from ..electrical.waveform import Waveform
 from .dpa import (
+    BlockSums,
     DPAError,
     DPAResult,
     GuessResult,
@@ -108,23 +110,24 @@ def cpa_prefix_states(matrix: np.ndarray, hypothesis: np.ndarray,
                       ) -> Iterator[Tuple[int, Callable[[slice], np.ndarray]]]:
     """The Pearson state at every prefix boundary, incrementally.
 
-    Pearson's coefficient over a prefix only needs five running sums (trace
+    Pearson's coefficient over a prefix only needs five running sums: trace
     sums and squares per sample, hypothesis sums and squares per guess, and
-    the cross-product matrix), each updatable with one small matmul over the
-    newly added slice — the whole sweep costs a single full CPA instead of
-    one CPA per prefix size.  Yields ``(count, peaks_of)`` pairs as
+    the guess×sample cross products.  The first four are kept for every
+    guess; the cross products are a :class:`repro.core.dpa.BlockSums`,
+    accumulated with one small matmul per segment only for the blocks of
+    guesses a caller reads.  Yields ``(count, peaks_of)`` pairs as
     :func:`repro.core.dpa.dom_prefix_states` does: ``peaks_of(rows)`` is the
     per-guess max |correlation| of the guesses ``rows``, finalized only for
     those rows and valid until the generator advances.
     """
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = np.ascontiguousarray(matrix, dtype=float)
     hypothesis = np.asarray(hypothesis, dtype=float)
     n_guesses, n_samples = hypothesis.shape[0], matrix.shape[1]
     trace_sum = np.zeros(n_samples)
     trace_sq = np.zeros(n_samples)
     model_sum = np.zeros(n_guesses)
     model_sq = np.zeros(n_guesses)
-    cross = np.zeros((n_guesses, n_samples))
+    cross = BlockSums(hypothesis, matrix)
 
     def peaks_of(rows: slice, count: int) -> np.ndarray:
         covariance = (count * cross[rows]
@@ -147,7 +150,7 @@ def cpa_prefix_states(matrix: np.ndarray, hypothesis: np.ndarray,
         trace_sq += (matrix[segment] ** 2).sum(axis=0)
         model_sum += hypothesis[:, segment].sum(axis=1)
         model_sq += (hypothesis[:, segment] ** 2).sum(axis=1)
-        cross += hypothesis[:, segment] @ matrix[segment]
+        cross.advance(segment)
         previous = count
         yield count, partial(peaks_of, count=count)
 
@@ -168,7 +171,11 @@ def _memoized(kernel, key: tuple, compute):
     An attack over a trace set touches its hypothesis/bit matrix twice — once
     for the full-set ranking, once for the disclosure sweep — so kernels keep
     the last computed matrix and return it when called again with equal
-    inputs (the equality check is trivially cheap next to the rebuild).
+    inputs (the equality check is trivially cheap next to the rebuild).  The
+    sweep needs the whole matrix too: its set sizes or model sums cover every
+    guess, and its :class:`repro.core.dpa.BlockSums` hold on to the matrix to
+    slice the blocks of guesses it reads later.  Callers share the cached
+    array and never write to it.
     """
     cached = getattr(kernel, "_memo", None)
     if cached is not None and cached[0] == key:

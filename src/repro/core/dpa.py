@@ -22,10 +22,10 @@ against the literal textbook loop.
 
 :func:`messages_to_disclosure` grows the trace prefix and asks at every
 boundary only whether the correct guess ranks first.  The prefix states
-(:func:`dom_prefix_states` and the kernel ``prefix_states`` protocol) keep
-running set sums and finalize peaks only for the guesses
-:func:`ranks_first` reads: the correct one, then blocks of :data:`BLOCK`
-guesses until one beats it.
+(:func:`dom_prefix_states` and the kernel ``prefix_states`` protocol)
+accumulate their guess×sample sums (:class:`BlockSums`) and finalize peaks
+only for the guesses :func:`ranks_first` reads: the correct one, then
+blocks of :data:`BLOCK` guesses until one beats it.
 
 The classes here are agnostic of where the traces come from: the library's
 own synthesized traces (XOR block, asynchronous AES) or any externally
@@ -536,6 +536,59 @@ def ranks_first(peaks_of: Callable[[slice], np.ndarray], n_guesses: int,
     return True
 
 
+class BlockSums:
+    """Running prefix sums ``weights[:, :count] @ matrix[:count]``,
+    accumulated per aligned :data:`BLOCK` of rows only when read.
+
+    The guess×sample sums of a prefix sweep (the difference-of-means set
+    sums, the Pearson cross products) are the costly part of its state, and
+    :func:`ranks_first` reads one or two blocks of them at a boundary where
+    a wrong guess leads.  :meth:`advance` only records the next segment of
+    traces; indexing with a row slice brings every block it touches up to
+    date by replaying, in order, the segment matmuls the block has not
+    folded yet — all of them for a block first read at a late boundary.
+
+    A block's sums depend only on its rows and the segments, never on what
+    else was read or when.  They equal the rows of the all-guess product of
+    the eager sweep bit for bit when both products run the same OpenBLAS
+    kernel.  With OpenBLAS 0.3.31 on an AVX-512 host that holds at every
+    size when the sample count is a multiple of 8 (the trace generator's
+    5,080 samples), and at every sample count while the all-guess product
+    stays under about 10⁶ multiply-adds; past that, the last
+    ``n_samples % 8`` sample columns can round differently in the last bit.
+    numpy sends a one-row product to gemv, which rounds differently, so a
+    lone last row is multiplied together with the block before it.
+    ``matrix`` must be C-ordered: with a Fortran-ordered one, the two
+    products can differ even when small.
+    """
+
+    def __init__(self, weights: np.ndarray, matrix: np.ndarray):
+        self.weights = weights
+        self.matrix = matrix
+        self.sums = np.zeros((weights.shape[0], matrix.shape[1]))
+        self._segments: List[slice] = []
+        self._folded = [0] * -(-weights.shape[0] // BLOCK)
+
+    def advance(self, segment: slice) -> None:
+        """Extend the prefix by the traces ``segment``."""
+        self._segments.append(segment)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(len(self.sums))
+        for block in range(start // BLOCK, -(-stop // BLOCK)):
+            for segment in self._segments[self._folded[block]:]:
+                self._fold(block, segment)
+            self._folded[block] = len(self._segments)
+        return self.sums[rows]
+
+    def _fold(self, block: int, segment: slice) -> None:
+        low = block * BLOCK
+        high = min(low + BLOCK, len(self.sums))
+        first = low - BLOCK if high - low == 1 and low else low
+        weights = np.asarray(self.weights[first:high, segment], dtype=float)
+        self.sums[low:high] += (weights @ self.matrix[segment])[low - first:]
+
+
 def dom_prefix_states(matrix: np.ndarray, bit_matrix: np.ndarray,
                       boundaries: Sequence[int]
                       ) -> Iterator[Tuple[int, Callable[[slice], np.ndarray]]]:
@@ -544,19 +597,21 @@ def dom_prefix_states(matrix: np.ndarray, bit_matrix: np.ndarray,
     Yields ``(count, peaks_of)`` pairs where ``peaks_of(rows)`` returns the
     maximum absolute bias of the guesses ``rows`` over the first ``count``
     traces; it reads the running state, so call it before advancing the
-    generator.  The per-guess set sums of each prefix are the running sums
-    of the previous prefix plus one small matmul over the new slice of
-    traces — the whole sweep costs a single full attack, O(N·m) per guess,
-    instead of re-running the attack from scratch at every prefix size
-    (O(N²·m)) — and only the guesses a caller reads are finalized.
+    generator.  The set sizes and the all-trace sum are kept for every
+    guess; the per-guess set sums are a :class:`BlockSums`, so a prefix
+    costs one small matmul per segment for each block of guesses a caller
+    reads, and nothing for the blocks it never reads.  A sweep that reads
+    every row costs a single full attack, O(N·m) per guess, instead of one
+    attack per prefix size (O(N²·m)).
 
     This is the difference-of-means instance of the attack-kernel
     ``prefix_states`` protocol; :mod:`repro.core.cpa` provides the Pearson
     and second-order instances.
     """
+    matrix = np.ascontiguousarray(matrix, dtype=float)
     n_guesses, n_samples = bit_matrix.shape[0], matrix.shape[1]
     # Running prefix sums (equation (8) numerators and set sizes).
-    sum1 = np.zeros((n_guesses, n_samples))
+    sum1 = BlockSums(bit_matrix, matrix)
     sum_all = np.zeros(n_samples)
     counts1 = np.zeros(n_guesses)
 
@@ -568,7 +623,7 @@ def dom_prefix_states(matrix: np.ndarray, bit_matrix: np.ndarray,
     for count in boundaries:
         segment = slice(previous, count)
         sum_all += matrix[segment].sum(axis=0)
-        sum1 += bit_matrix[:, segment].astype(float) @ matrix[segment]
+        sum1.advance(segment)
         counts1 += bit_matrix[:, segment].sum(axis=1)
         previous = count
         yield count, partial(peaks_of, count=count)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles.dpa import _stable_rank
+from oracles.dpa import _stable_rank, cpa_prefix_states, dom_prefix_states
 
 from repro.assess.streaming import disclosure_boundaries, streaming_state
 from repro.core.cpa import (
@@ -26,14 +26,12 @@ from repro.core.cpa import (
     DpaKernel,
     SecondOrderKernel,
     centered_product_matrix,
-    cpa_prefix_peaks,
 )
 from repro.core.dpa import (
     BLOCK,
     DPAError,
     DisclosureTracker,
     TraceSet,
-    dom_prefix_peaks,
     messages_to_disclosure,
     ranks_first,
 )
@@ -90,11 +88,16 @@ def _oracle_mtd(sweep, correct_index: int, stable_runs: int):
 
 
 def _oracle_sweep(kind: str, table: TableSelection, matrix, boundaries):
+    """Every guess's peak at every boundary, from the eager oracle sweeps."""
     if kind.startswith("o2"):
         matrix, _ = centered_product_matrix(matrix, window=2)
     if kind.endswith("dom"):
-        return dom_prefix_peaks(matrix, table.table, boundaries)
-    return cpa_prefix_peaks(matrix, table.table.astype(float), boundaries)
+        states = dom_prefix_states(matrix, table.table, boundaries)
+    else:
+        states = cpa_prefix_states(matrix, table.table.astype(float),
+                                   boundaries)
+    for count, peaks_of in states:
+        yield count, peaks_of(slice(None))
 
 
 @st.composite
@@ -199,7 +202,7 @@ class TestDisclosureMatchesOracle:
     def test_streaming_tracker(self, campaign, chunk):
         """The streaming tracker, lazy and eager, against the oracle rank
         of the full boundary peaks.  The streaming DoM state keeps the
-        in-memory sweep's sums, so its oracle is ``dom_prefix_peaks``; the
+        in-memory sweep's sums, so its oracle is the eager DoM sweep; the
         streaming CPA state keeps centered co-moments, so its oracle is the
         state's own all-rows read-out."""
         kind, table, matrix, correct, start, step, stable_runs = campaign
